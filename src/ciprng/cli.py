@@ -72,8 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--max-mutations", type=int, required=True)
     search.add_argument("--require-chaos", action="store_true",
                         help="keep only functions with strongly connected graphs")
-    search.add_argument("--max-candidates", type=int, default=1_000_000,
-                        help="abort after enumerating this many functions")
+    search.add_argument("--max-candidates", type=int, default=1_000_000, metavar="COUNT",
+                        help="exit with status 2 on reaching a candidate beyond the first "
+                             "COUNT; candidates are the matchings of the N-cube, the "
+                             "negation included (COUNT >= 1)")
 
     gr = sub.add_parser("graph", help="export an iteration graph as DOT")
     src = gr.add_mutually_exclusive_group(required=True)

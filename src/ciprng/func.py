@@ -223,12 +223,20 @@ def search_functions(
 ) -> Iterator[VectorOfImages]:
     """Enumerate functions reachable from the negation by paired edits.
 
-    Breadth-first by edit count, edits tried in ascending (j, i) order,
-    duplicates skipped, so the output sequence is deterministic.  Every
-    candidate is confirmed balanced before being emitted; with
+    A paired edit swaps the negation's images across one edge
+    (q, q XOR 2^b) of the N-cube Q_N, and edits never share a vertex (see
+    `mutate_pair`), so the candidates are exactly the matchings of Q_N
+    with at most `max_mutations` edges.  They are enumerated by size, and
+    within a size as sets of edges taken in ascending (q, q XOR 2^b)
+    order; each matching is generated once, so no duplicate is ever
+    produced and the output sequence is deterministic.  Enumeration stops
+    at the first size that has no matching.
+
+    Every candidate is confirmed balanced before being emitted; with
     `require_chaos` the candidate's iteration graph must additionally be
-    strongly connected.  Raises ResourceLimitError when more than
-    `max_candidates` distinct functions would be enumerated.
+    strongly connected.  Raises ResourceLimitError, after the functions
+    already emitted, on reaching a candidate beyond the first
+    `max_candidates`; raises ValueError when `max_candidates` < 1.
 
     `max_mutations=0` yields exactly the negation.
     """
@@ -237,56 +245,45 @@ def search_functions(
     _check_width(n_bits, _graph.MAX_GRAPH_BITS)
     if max_mutations < 0:
         raise ValueError(f"max_mutations must be >= 0, got {max_mutations}")
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
     size = 1 << n_bits
-    mask = size - 1
+    edges = [(q, q ^ (1 << b)) for q in range(size) for b in range(n_bits) if q < q ^ (1 << b)]
+    images = list(negation(n_bits).images)
+    used = bytearray(size)
 
-    def emit(images: tuple[int, ...]) -> Optional[VectorOfImages]:
-        vec = VectorOfImages(n_bits, images)
-        if not is_balanced(vec).balanced:
-            return None
-        if require_chaos:
-            verdict = _graph.is_strongly_connected(_graph.build_graph(vec))
-            if not verdict.strongly_connected:
-                return None
-        return vec
+    def matchings(first: int, left: int) -> Iterator[None]:
+        """Yield once per vertex-disjoint choice of `left` edges from edges[first:],
+        with `images` swapped across the chosen edges."""
+        if left == 0:
+            yield
+            return
+        for e in range(first, len(edges)):
+            q, partner = edges[e]
+            if used[q] or used[partner]:
+                continue
+            used[q] = used[partner] = 1
+            images[q], images[partner] = images[partner], images[q]
+            yield from matchings(e + 1, left - 1)
+            images[q], images[partner] = images[partner], images[q]
+            used[q] = used[partner] = 0
 
-    neg = tuple(mask ^ q for q in range(size))
-    seen = {neg}
-    first = emit(neg)
-    if first is not None:
-        yield first
-
-    frontier = [neg]
-    for _depth in range(max_mutations):
-        next_frontier = []
-        for images in frontier:
-            for q in range(size):
-                a = images[q]
-                neg_q = mask ^ q
-                for i in range(1, n_bits + 1):
-                    w = 1 << (i - 1)
-                    partner = q ^ w
-                    b = images[partner]
-                    neg_partner = neg_q ^ w
-                    if (a, b) != (neg_q, neg_partner) and (a, b) != (neg_partner, neg_q):
-                        continue
-                    child = list(images)
-                    child[q], child[partner] = b, a
-                    child_t = tuple(child)
-                    if child_t in seen:
-                        continue
-                    if len(seen) >= max_candidates:
-                        raise ResourceLimitError(
-                            f"search exceeded the cap of {max_candidates} candidates"
-                        )
-                    seen.add(child_t)
-                    next_frontier.append(child_t)
-                    vec = emit(child_t)
-                    if vec is not None:
-                        yield vec
-        if not next_frontier:
+    count = 0
+    for d in range(max_mutations + 1):
+        before = count
+        for _ in matchings(0, d):
+            if count == max_candidates:
+                raise ResourceLimitError(f"search exceeded the cap of {max_candidates} candidates")
+            count += 1
+            vec = VectorOfImages(n_bits, tuple(images))
+            if not is_balanced(vec).balanced:
+                continue
+            if require_chaos:
+                if not _graph.is_strongly_connected(_graph.build_graph(vec)).strongly_connected:
+                    continue
+            yield vec
+        if count == before:
             break
-        frontier = next_frontier
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import os
+from pathlib import Path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ciprng
 from ciprng import cli, func
 from ciprng.generator import CiGenerator, GeneratorConfig
 from ciprng.sources import Xorshift64
@@ -166,6 +169,15 @@ class TestSearch:
         )
         assert rc == 2
 
+    def test_candidate_cap_below_one_exits_2_before_output(self, capsys):
+        rc = cli.main(
+            ["search", "--n-bits", "2", "--max-mutations", "1", "--max-candidates", "0"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_candidates" in captured.err
+
 
 class TestGraph:
     def test_negation_to_stdout(self, capsys):
@@ -229,18 +241,24 @@ class TestTest:
         assert rc == 2
 
 
+def run_module(*args):
+    """Run `python -m ciprng` in a child process that imports the package under test."""
+    src = str(Path(ciprng.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ciprng", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ciprng", "search", "--n-bits", "2", "--max-mutations", "0"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("search", "--n-bits", "2", "--max-mutations", "0")
         assert proc.returncode == 0
         assert proc.stdout == "3 2 1 0\n"
 
     def test_usage_error_is_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ciprng", "bogus"], capture_output=True, text=True
-        )
+        proc = run_module("bogus")
         assert proc.returncode == 2

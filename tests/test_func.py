@@ -225,6 +225,68 @@ class TestSearchFunctions:
         with pytest.raises(ResourceLimitError):
             list(func.search_functions(4, 8, max_candidates=100))
 
+    def test_candidate_cap_boundary(self):
+        # (2, 4) enumerates exactly 7 candidates, the negation included
+        assert len(list(func.search_functions(2, 4, max_candidates=7))) == 7
+        found = []
+        with pytest.raises(ResourceLimitError):
+            for vec in func.search_functions(2, 4, max_candidates=6):
+                found.append(vec)
+        # the cap is hit lazily, after the first six have been emitted
+        assert len(found) == 6
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_cap_below_one(self, depth, cap):
+        search = func.search_functions(2, depth, max_candidates=cap)
+        with pytest.raises(ValueError):
+            next(search)
+
+    @pytest.mark.parametrize(
+        "n_bits, depth, per_size",
+        [
+            (3, 4, [1, 12, 42, 44, 9]),
+            (4, 8, [1, 32, 400, 2496, 8256, 14208, 11648, 3712, 272]),
+        ],
+    )
+    def test_enumerates_the_matchings_of_the_cube(self, n_bits, depth, per_size):
+        """Sizes of the matchings of Q_3 and Q_4 (OEIS A045310: 108 and 41025)."""
+        found = list(func.search_functions(n_bits, depth))
+        mask = (1 << n_bits) - 1
+        edits = [sum(1 for q, v in enumerate(f.images) if v != mask ^ q) // 2 for f in found]
+        assert edits == sorted(edits)
+        assert [edits.count(d) for d in range(depth + 1)] == per_size
+        assert len({f.images for f in found}) == len(found)
+
+    def test_stops_past_the_largest_matching(self):
+        # Q_2 has no matching of 3 edges, so depth 9 adds nothing to depth 4
+        assert list(func.search_functions(2, 9)) == list(func.search_functions(2, 4))
+
+    def test_every_candidate_is_confirmed_balanced(self, monkeypatch):
+        checked = []
+        original = func.is_balanced
+
+        def counting(f):
+            checked.append(f.images)
+            return original(f)
+
+        monkeypatch.setattr(func, "is_balanced", counting)
+        found = [f.images for f in func.search_functions(3, 4)]
+        assert len(checked) == 108
+        assert checked == found
+
+        rejected = found[50]
+
+        def rejecting(f):
+            if f.images == rejected:
+                return func.BalanceVerdict(False, (1, 0))
+            return original(f)
+
+        monkeypatch.setattr(func, "is_balanced", rejecting)
+        kept = [f.images for f in func.search_functions(3, 4)]
+        assert rejected not in kept
+        assert kept == [images for images in found if images != rejected]
+
     def test_depth_8_chaotic_search_contains_known_variants(self):
         found = {vec.images for vec in func.search_functions(4, 8, require_chaos=True)}
         assert found.issuperset(KNOWN_CHAOTIC_VARIANTS)
