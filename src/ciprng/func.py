@@ -13,6 +13,12 @@ Conventions used across the package:
   (j = q + 1) by the operations that edit pairs of entries, matching the
   usual statement of the balance rule.
 
+The mapping matrix of f is the N x 2^N table whose cell (p, q) is the
+state reached from q by one single-coordinate update: coordinate p
+alone is replaced by coordinate p of f(q).  `update_table` is its one
+definition, a numpy array; `mapping_matrix`, `is_balanced`, the
+iteration graph and the generator's composed update tables all read it.
+
 A function is *balanced* when every row of its mapping matrix is a
 permutation of [0, 2^N - 1]; single-coordinate updates then preserve a
 uniform state distribution.
@@ -21,9 +27,13 @@ uniform state distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
+import operator
 from pathlib import Path
 import re
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import FunctionFormatError, MutationError, ResourceLimitError
 
@@ -33,7 +43,12 @@ MAX_TABLE_BITS = 16
 
 @dataclass(frozen=True)
 class VectorOfImages:
-    """A Boolean map f: B^N -> B^N as the tuple (f(0), ..., f(2^N - 1))."""
+    """A Boolean map f: B^N -> B^N as the tuple (f(0), ..., f(2^N - 1)).
+
+    `images` may be given as any sequence of integers, numpy arrays
+    included; it is stored as a tuple of Python ints, so equal maps
+    compare equal and hash alike.  A non-integer image is a TypeError.
+    """
 
     n_bits: int
     images: tuple[int, ...]
@@ -41,14 +56,16 @@ class VectorOfImages:
     def __post_init__(self):
         if self.n_bits < 2:
             raise ValueError(f"n_bits must be >= 2, got {self.n_bits}")
+        images = tuple(map(operator.index, self.images))
+        object.__setattr__(self, "images", images)
         size = 1 << self.n_bits
-        if len(self.images) != size:
+        if len(images) != size:
             raise ValueError(
-                f"expected {size} images for n_bits={self.n_bits}, got {len(self.images)}"
+                f"expected {size} images for n_bits={self.n_bits}, got {len(images)}"
             )
-        for q, v in enumerate(self.images):
-            if not 0 <= v < size:
-                raise ValueError(f"image {v} at position {q} is outside [0, {size - 1}]")
+        if min(images) < 0 or max(images) >= size:
+            q = next(q for q, v in enumerate(images) if not 0 <= v < size)
+            raise ValueError(f"image {images[q]} at position {q} is outside [0, {size - 1}]")
 
     @property
     def size(self) -> int:
@@ -68,7 +85,7 @@ class MappingMatrix:
     """Next states under single-coordinate updates.
 
     cells[p-1][q] is the state reached from q when coordinate p alone is
-    replaced by coordinate p of f(q).
+    replaced by coordinate p of f(q): the tuple view of `update_table`.
     """
 
     n_bits: int
@@ -82,9 +99,15 @@ class MappingMatrix:
 class BalanceVerdict:
     """Outcome of a balance check.
 
-    `first_violation` is a (row p, value) witness: the first row of the
-    mapping matrix that fails to be a permutation, with the value that
-    would occur twice in it.  None when balanced.
+    `first_violation` is None when balanced, and otherwise a pair whose
+    first member is a mapping-matrix row p and whose second depends on
+    the check:
+
+    * `is_balanced` gives (p, value): the first row that fails to be a
+      permutation, with the first value met twice in it in q order;
+    * `balance_rule_check` gives (p, q): the 0-based position q of the
+      first entry that breaks the paired-edit rule, with the row p its
+      edited digit updates.
     """
 
     balanced: bool
@@ -116,32 +139,53 @@ def _check_width(n_bits: int, max_bits: int) -> None:
         )
 
 
+@functools.cache
+def _axes(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only states [0, 2^N - 1] and the (N, 1) column of digit weights 2^(N-p)."""
+    states = np.arange(1 << n_bits, dtype=np.int32)
+    weights = (1 << np.arange(n_bits - 1, -1, -1, dtype=np.int32))[:, None]
+    states.flags.writeable = weights.flags.writeable = False
+    return states, weights
+
+
+def update_table(f: VectorOfImages) -> np.ndarray:
+    """The mapping matrix of f as a fresh (N, 2^N) int32 array.
+
+    Entry [p-1, q] is the state reached from q when coordinate p alone
+    is replaced by coordinate p of f(q).  This is the one definition of
+    the single-coordinate update over a whole table.
+    """
+    states, weights = _axes(f.n_bits)
+    table = (np.array(f.images, dtype=np.int32) ^ states) & weights
+    table ^= states  # in place, to allocate one (N, 2^N) array rather than two
+    return table
+
+
 def mapping_matrix(f: VectorOfImages) -> MappingMatrix:
-    """Build the N x 2^N table of single-coordinate successors of f."""
-    n = f.n_bits
-    rows = []
-    for p in range(1, n + 1):
-        w = 1 << (n - p)
-        keep = ~w
-        rows.append(tuple((q & keep) | (f.images[q] & w) for q in range(f.size)))
-    return MappingMatrix(n, tuple(rows))
+    """The N x 2^N table of single-coordinate successors of f, as tuples."""
+    return MappingMatrix(f.n_bits, tuple(map(tuple, update_table(f).tolist())))
 
 
 def is_balanced(f: VectorOfImages) -> BalanceVerdict:
-    """Definitional balance check: every mapping-matrix row is a permutation."""
-    n = f.n_bits
-    size = f.size
-    images = f.images
-    for p in range(1, n + 1):
-        w = 1 << (n - p)
-        keep = ~w
-        seen = bytearray(size)
-        for q in range(size):
-            cell = (q & keep) | (images[q] & w)
-            if seen[cell]:
-                return BalanceVerdict(False, (p, cell))
-            seen[cell] = 1
-    return BalanceVerdict(True)
+    """Definitional balance check: every mapping-matrix row is a permutation.
+
+    The cells lie in [0, 2^N - 1], so a row is a permutation exactly
+    when, sorted, it reads 0, 1, ..., 2^N - 1.  The witness of an
+    unbalanced f is the first row that does not, with the first value
+    met twice in it in q order.
+    """
+    states, _ = _axes(f.n_bits)
+    table = update_table(f)
+    table.sort(axis=1)
+    wrong = table != states
+    if not np.count_nonzero(wrong):
+        return BalanceVerdict(True)
+    p = int(wrong.any(axis=1).argmax())
+    seen = bytearray(f.size)
+    for cell in update_table(f)[p].tolist():
+        if seen[cell]:
+            return BalanceVerdict(False, (p + 1, cell))
+        seen[cell] = 1
 
 
 def balance_rule_check(f: VectorOfImages) -> BalanceVerdict:

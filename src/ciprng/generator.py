@@ -8,8 +8,9 @@ of f(state).  The state after the m updates is the round output.
 `CiGenerator.round` is the definition.  `CiGenerator.states` gives the
 same outputs in bulk: it draws a block's bits and coordinates as arrays,
 then runs the block's updates either through composed update tables
-(narrow N) or a scalar loop (wide N).  Short blocks, and blocks whose
-draws fail, run round() instead.
+(narrow N) or a scalar loop (wide N).  The composed tables start from
+f's mapping matrix as `func.update_table` builds it.  Short blocks, and
+blocks whose draws fail, run round() instead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bitops
 from .errors import ScriptExhaustedError
-from .func import VectorOfImages
+from .func import VectorOfImages, update_table
 from .sources import EntropySource
 
 # Rounds per bulk block: bounds the working arrays of one states() call.
@@ -207,19 +208,15 @@ class CiGenerator:
         """Maps of every sequence of g single-coordinate updates, g as large as fits.
 
         Row c_1 + (N+1) c_2 + ... + (N+1)^(g-1) c_g maps each state
-        through the updates of row c_1 first, then c_2, ..., c_g; row c
-        of the one-update table updates coordinate c + 1, and row N is
-        the identity.
+        through the updates of row c_1 first, then c_2, ..., c_g.  The
+        one-update table is f's mapping matrix (`func.update_table`),
+        whose row c updates coordinate c + 1, with the identity below it
+        as row N.
         """
         if self._groups is None:
             f = self.config.f
             n = f.n_bits
-            states = np.arange(f.size)
-            images = np.asarray(f.images, dtype=np.int64)
-            single = np.array(
-                [(states & ~w) | (images & w) for w in (1 << np.arange(n - 1, -1, -1))]
-                + [states]
-            )
+            single = np.vstack([update_table(f), np.arange(f.size)])
             g, table = 1, single
             while g <= self.config.k and (n + 1) ** (g + 1) * f.size <= _GROUP_ENTRIES:
                 table = single[:, table].reshape(-1, f.size)

@@ -36,6 +36,22 @@ def interpret_updates(images, n_bits, x0, strategy):
     return trace
 
 
+def first_repeat(images, n_bits):
+    """Balance witness by definition: the first single-coordinate row, p
+    in [1, N], whose successors of q = 0, 1, ... meet a state twice, with
+    that state; None when every row is a permutation.  Successors come
+    from `interpret_updates`, one update from each start state.
+    """
+    for p in range(1, n_bits + 1):
+        seen = set()
+        for q in range(1 << n_bits):
+            (cell,) = interpret_updates(images, n_bits, q, [p])
+            if cell in seen:
+                return p, cell
+            seen.add(cell)
+    return None
+
+
 def bfs_reachable(adjacency, start):
     """Vertices reachable from start by a plain breadth-first search."""
     seen = bytearray(len(adjacency))

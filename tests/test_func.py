@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from ciprng.errors import (
     ResourceLimitError,
 )
 
+import oracles
 from reference_data import KNOWN_CHAOTIC_VARIANTS
 
 
@@ -29,6 +31,27 @@ class TestVectorOfImages:
     def test_rejects_out_of_range_image(self):
         with pytest.raises(ValueError):
             func.VectorOfImages(2, (0, 1, 2, 4))
+
+    def test_out_of_range_message_names_first_position(self):
+        with pytest.raises(ValueError, match=r"image 7 at position 1 is outside \[0, 3\]"):
+            func.VectorOfImages(2, (0, 7, -1, 3))
+
+    def test_list_images_stored_as_tuple(self):
+        f = func.VectorOfImages(2, [3, 2, 1, 0])
+        assert f.images == (3, 2, 1, 0)
+        assert f == func.negation(2)
+        assert hash(f) == hash(func.negation(2))
+
+    def test_array_images_stored_as_python_ints(self):
+        f = func.VectorOfImages(2, np.array([3, 2, 1, 0], dtype=np.int64))
+        assert f == func.negation(2)
+        assert all(type(v) is int for v in f.images)
+        assert {f, func.negation(2)} == {func.negation(2)}
+
+    @pytest.mark.parametrize("images", [(3.0, 2, 1, 0), np.array([3.0, 2, 1, 0])])
+    def test_rejects_float_images(self, images):
+        with pytest.raises(TypeError):
+            func.VectorOfImages(2, images)
 
     def test_coordinate_indexing(self):
         f = func.negation(4)
@@ -75,11 +98,16 @@ class TestMappingMatrix:
     def test_single_coordinate_update_only(self, n_bits, rnd):
         size = 1 << n_bits
         images = tuple(rnd.randrange(size) for _ in range(size))
-        m = func.mapping_matrix(func.VectorOfImages(n_bits, images))
+        f = func.VectorOfImages(n_bits, images)
+        m = func.mapping_matrix(f)
         for p in range(1, n_bits + 1):
             w = 1 << (n_bits - p)
             for q in range(size):
                 assert m.cell(p, q) ^ q in (0, w)
+                assert m.cell(p, q) == oracles.interpret_updates(images, n_bits, q, [p])[0]
+        table = func.update_table(f)
+        assert table.shape == (n_bits, size)
+        assert table.tolist() == [list(row) for row in m.cells]
 
 
 class TestIsBalanced:
@@ -100,6 +128,30 @@ class TestIsBalanced:
     def test_known_variants_balanced(self, images):
         assert func.is_balanced(func.VectorOfImages(4, images)).balanced
 
+    @given(st.integers(2, 6), st.randoms(use_true_random=False), st.booleans())
+    def test_witness_matches_first_repeat_oracle(self, n_bits, rnd, near_balanced):
+        size = 1 << n_bits
+        if near_balanced:
+            # q XOR c is balanced; one overwritten entry may break one row
+            c = rnd.randrange(size)
+            images = [q ^ c for q in range(size)]
+            images[rnd.randrange(size)] = rnd.randrange(size)
+        else:
+            images = [rnd.randrange(size) for _ in range(size)]
+        verdict = func.is_balanced(func.VectorOfImages(n_bits, images))
+        expected = oracles.first_repeat(images, n_bits)
+        assert verdict.balanced == (expected is None)
+        assert verdict.first_violation == expected
+
+    def test_witness_at_widest_width(self):
+        # flipping the digit of coordinate 3 in f(0) makes q = 0 and
+        # q = 2^13 both update to 0 in row 3; rows 1 and 2 stay permutations
+        images = list(func.negation(16).images)
+        images[0] ^= 1 << 13
+        verdict = func.is_balanced(func.VectorOfImages(16, images))
+        assert verdict == func.BalanceVerdict(False, (3, 0))
+        assert verdict.first_violation == oracles.first_repeat(images, 16)
+
     def test_identity_balanced(self):
         # every row of the identity's table is the identity permutation
         assert func.is_balanced(func.identity(3)).balanced
@@ -117,6 +169,14 @@ class TestBalanceRuleCheck:
     @pytest.mark.parametrize("images", KNOWN_CHAOTIC_VARIANTS)
     def test_accepts_known_variants(self, images):
         assert func.balance_rule_check(func.VectorOfImages(4, images)).balanced
+
+    def test_witness_is_row_and_position(self):
+        # bit 2 of images[0] flipped, its partner images[2] left as the
+        # negation's: position q = 0 breaks the rule, in row 3
+        images = list(func.negation(4).images)
+        images[0] ^= 2
+        verdict = func.balance_rule_check(func.VectorOfImages(4, images))
+        assert verdict == func.BalanceVerdict(False, (3, 0))
 
     def test_rejects_entry_more_than_one_bit_away(self):
         # identity entries are far from the negation: outside the rule's scope
