@@ -4,7 +4,10 @@ The iteration graph of f has the 2^N states as vertices and, for each
 state x and coordinate label i in [1, N], one arc from x to the state
 obtained by replacing coordinate i of x with coordinate i of f(x).  The
 generator built on f behaves chaotically exactly when this graph is
-strongly connected, which this module decides exhaustively.
+strongly connected.  When every row of the mapping matrix is a
+permutation (f balanced), one reachability sweep from vertex 0 decides
+it; any other graph, and any graph the sweep finds disconnected, goes to
+Tarjan's algorithm, which alone gives the component count and a witness.
 """
 
 from __future__ import annotations
@@ -120,8 +123,42 @@ def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
     return comps
 
 
+def _permutations_reach_all(g: IterationGraph) -> bool:
+    """True when every row of the mapping matrix is a permutation and one
+    forward sweep from vertex 0 reaches every vertex."""
+    n = g.n_vertices
+    rows = g.matrix.cells
+    for row in rows:
+        if len(set(row)) != n:
+            return False
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for row in rows:
+            w = row[v]
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                stack.append(w)
+    return reached == n
+
+
 def is_strongly_connected(g: IterationGraph) -> ChaosVerdict:
-    """Decide the chaos criterion: one component covering all vertices."""
+    """Decide the chaos criterion: one component covering all vertices.
+
+    When every label i is a permutation sigma_i of the vertices, each arc
+    x -> sigma_i(x) lies on a cycle of sigma_i, so the head reaches the
+    tail back: the graph is a union of cycles, in which v reaches u
+    whenever u reaches v.  There "vertex 0 reaches every vertex" is the
+    same as strong connectivity, and one forward sweep settles it.
+    Tarjan's algorithm runs only when a row is not a permutation or the
+    sweep misses a vertex; it gives the component count and the witness.
+    """
+    if _permutations_reach_all(g):
+        return ChaosVerdict(True, 1)
     comps = strongly_connected_components(g)
     if len(comps) == 1:
         return ChaosVerdict(True, 1)

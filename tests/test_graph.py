@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -101,6 +102,81 @@ class TestStrongConnectivity:
                 relabeled = {(x ^ c, lab, t ^ c) for x, lab, t in arcs}
                 assert relabeled == arcs
             assert base
+
+
+def assert_verdict_matches_oracle(g):
+    adjacency = adjacency_of(g)
+    oracle = bfs_sccs(adjacency)
+    verdict = graph.is_strongly_connected(g)
+    assert verdict.strongly_connected == (len(oracle) == 1)
+    assert verdict.scc_count == len(oracle)
+    if verdict.strongly_connected:
+        assert verdict.witness is None
+    else:
+        u, v = verdict.witness
+        assert not bfs_reachable(adjacency, u)[v]
+    return verdict
+
+
+class TestReachabilityShortcut:
+    """`is_strongly_connected` answers balanced graphs with one sweep from
+    vertex 0 and leaves every other case to Tarjan; the verdicts must be
+    those of the BFS oracle either way."""
+
+    def test_all_width2_functions(self):
+        for images in itertools.product(range(4), repeat=4):
+            assert_verdict_matches_oracle(graph.build_graph(func.VectorOfImages(2, images)))
+
+    def test_all_width3_matchings(self):
+        found = list(func.search_functions(3, 12))
+        assert len(found) == 108
+        for f in found:
+            assert_verdict_matches_oracle(graph.build_graph(f))
+
+    @pytest.mark.parametrize("n_bits", range(2, 7))
+    def test_balanced_but_not_chaotic(self, n_bits):
+        size = 1 << n_bits
+        flip_last = func.VectorOfImages(n_bits, tuple(q ^ 1 for q in range(size)))
+        for f in (func.identity(n_bits), flip_last):
+            assert func.is_balanced(f).balanced
+            assert not assert_verdict_matches_oracle(graph.build_graph(f)).strongly_connected
+
+    def test_sink_reached_from_zero_is_not_chaotic(self):
+        # 0 reaches every vertex of the constant function's graph, but 3 is
+        # a sink: the sweep alone would call it strongly connected
+        g = graph.build_graph(func.VectorOfImages(2, (3, 3, 3, 3)))
+        assert all(bfs_reachable(adjacency_of(g), 0))
+        verdict = assert_verdict_matches_oracle(g)
+        assert not verdict.strongly_connected
+        assert verdict.scc_count == len(graph.strongly_connected_components(g))
+
+    @pytest.fixture
+    def tarjan_calls(self, monkeypatch):
+        calls = []
+        tarjan = graph.strongly_connected_components
+
+        def counting(g):
+            calls.append(g)
+            return tarjan(g)
+
+        monkeypatch.setattr(graph, "strongly_connected_components", counting)
+        return calls
+
+    def test_chaotic_functions_skip_tarjan(self, tarjan_calls):
+        for n_bits in range(2, 9):
+            assert graph.is_strongly_connected(graph.build_graph(func.negation(n_bits)))
+        for images in KNOWN_CHAOTIC_VARIANTS:
+            assert graph.is_strongly_connected(graph.build_graph(func.VectorOfImages(4, images)))
+        assert tarjan_calls == []
+
+    def test_search_runs_tarjan_only_on_rejected_matchings(self, tarjan_calls):
+        # 41025 matchings of Q_4, of which 41021 are chaotic
+        assert sum(1 for _ in func.search_functions(4, 8, require_chaos=True)) == 41021
+        assert len(tarjan_calls) == 41025 - 41021
+
+    def test_identity_runs_tarjan(self, tarjan_calls):
+        assert not graph.is_strongly_connected(graph.build_graph(func.identity(3)))
+        assert len(tarjan_calls) >= 1
 
 
 class TestExportDot:
