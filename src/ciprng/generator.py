@@ -9,8 +9,10 @@ of f(state).  The state after the m updates is the round output.
 same outputs in bulk: it draws a block's bits and coordinates as arrays,
 then runs the block's updates either through composed update tables
 (narrow N) or a scalar loop (wide N).  The composed tables start from
-f's mapping matrix as `func.update_table` builds it.  Short blocks, and
-blocks whose draws fail, run round() instead.
+f's mapping matrix as `func.update_table` builds it.  A bulk block
+holds at most _BLOCK_ROUNDS rounds and _BLOCK_UPDATES updates, so its
+arrays stay bounded at any k.  Short blocks, and blocks whose draws
+fail, run round() instead.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .errors import ScriptExhaustedError
 from .func import VectorOfImages, update_table
 from .sources import EntropySource
 
-# Rounds per bulk block: bounds the working arrays of one states() call.
+# Rounds per bulk block, and updates per bulk block: together they bound
+# the working arrays of one states() call, whatever k is.
 _BLOCK_ROUNDS = 4096
+_BLOCK_UPDATES = 1 << 18
 # Widest N whose rounds are composed over all 2^N start states; wider
 # states run the scalar loop.  Measured on a 2-core Xeon, k = 3N + 1,
 # microseconds a round, composed vs scalar, draws included: N=2 0.8 vs
@@ -75,6 +79,12 @@ class CiGenerator:
     must be distinct objects: a round draws its bit from prng1 and then
     its coordinates from prng2, and one object in both roles would
     interleave the two streams.
+
+    `path_blocks` counts the blocks that states() has run by each path:
+    "composed" (composed update tables), "scalar" (the scalar loop over
+    bulk draws) and "round" (round() one round at a time: short blocks,
+    blocks whose draws failed, and sources that cannot rewind).  It is
+    for observing which path ran; it changes no output.
     """
 
     def __init__(self, config: GeneratorConfig, prng1: EntropySource, prng2: EntropySource):
@@ -86,6 +96,7 @@ class CiGenerator:
         self.prng2 = prng2
         self.rounds_emitted = 0
         self._groups = None  # (table, group size), built on first use
+        self.path_blocks = {"composed": 0, "scalar": 0, "round": 0}
 
     def round(self) -> int:
         """Run one round (m = bit + k updates) and return the new state."""
@@ -116,18 +127,24 @@ class CiGenerator:
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
         out = np.empty(n_rounds, dtype=np.int64)
-        for start in range(0, n_rounds, _BLOCK_ROUNDS):
-            block = out[start : start + _BLOCK_ROUNDS]
+        # at large k fewer rounds fit a block, down to blocks too short for
+        # the bulk paths
+        size = max(1, min(_BLOCK_ROUNDS, _BLOCK_UPDATES // (self.config.k + 1)))
+        for start in range(0, n_rounds, size):
+            block = out[start : start + size]
             draws = self._draw(block.size) if block.size >= _BULK_MIN_ROUNDS else None
             if draws is None:
                 # short blocks, and blocks whose draws failed: replayed
                 # round by round, a failure surfaces where the loop meets it
+                self.path_blocks["round"] += 1
                 for i in range(block.size):
                     block[i] = self.round()
                 continue
             if self.config.f.n_bits <= _TABLE_BITS:
+                self.path_blocks["composed"] += 1
                 self._compose_rounds(*draws, block)
             else:
+                self.path_blocks["scalar"] += 1
                 self._scalar_rounds(*draws, block)
             self.x = int(block[-1])
             self.rounds_emitted += block.size

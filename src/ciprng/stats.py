@@ -348,6 +348,22 @@ def read_stream(path: str | Path, fmt: str) -> np.ndarray:
     if fmt == "raw-bytes":
         return bitops.unpack_bits(Path(path).read_bytes())
     if fmt == "ascii-01":
-        text = Path(path).read_text(encoding="ascii")
-        return bitops.as_bit_array("".join(text.split()))
+        return _parse_ascii_bits(Path(path).read_bytes())
     raise ValueError(f"unknown format {fmt!r}; use 'raw-bytes' or 'ascii-01'")
+
+
+# the ASCII characters str.split() splits at, which include \x1c-\x1f
+_SPLIT_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
+
+
+def _parse_ascii_bits(data: bytes) -> np.ndarray:
+    """The 0/1 characters of `data` as a bit array, whitespace dropped.
+
+    Equal to decoding `data` as ASCII and passing the text, its
+    whitespace removed, to bitops.as_bit_array, errors included, but
+    without making the text and its pieces.
+    """
+    if not data.isascii():
+        data.decode("ascii")  # raises the decoder's own UnicodeDecodeError
+    digits = np.frombuffer(data.translate(None, _SPLIT_WHITESPACE), dtype=np.uint8)
+    return bitops.as_bit_array(digits - ord("0"))

@@ -383,3 +383,67 @@ class TestSourceAliasing:
         config = GeneratorConfig(func.negation(4), k=13, seed_state=0)
         gen = CiGenerator(config, Xorshift64(5), Xorshift64(5))
         assert gen.states(10).size == 10
+
+
+class TestBlockUpdateCap:
+    """A bulk block holds at most _BLOCK_UPDATES updates; outputs do not change."""
+
+    @pytest.mark.parametrize("n_bits", [4, 5])
+    def test_capped_blocks_equal_round_loop(self, monkeypatch, n_bits):
+        # k = 3N + 1 updates and one more for b: 100 rounds fill the cap
+        k = 3 * n_bits + 1
+        monkeypatch.setattr(generator, "_BLOCK_UPDATES", 100 * (k + 1))
+        bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=k)
+        assert list(bulk.states(1050)) == [loop.round() for _ in range(1050)]
+        TestFastPath.assert_same_end(bulk, loop)
+        # ten full blocks in bulk; the last 50 rounds are too few for it
+        expected = {"composed": 0, "scalar": 0, "round": 1}
+        expected["composed" if n_bits <= generator._TABLE_BITS else "scalar"] = 10
+        assert bulk.path_blocks == expected
+
+    def test_cap_below_bulk_minimum_runs_round_loop(self, monkeypatch):
+        k = 13
+        monkeypatch.setattr(generator, "_BLOCK_UPDATES", (generator._BULK_MIN_ROUNDS - 1) * (k + 1))
+        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=k)
+        assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
+        TestFastPath.assert_same_end(bulk, loop)
+        assert bulk.path_blocks["composed"] == 0
+        assert bulk.path_blocks["round"] == -(-300 // (generator._BULK_MIN_ROUNDS - 1))
+
+    def test_cap_under_one_round_still_makes_progress(self, monkeypatch):
+        monkeypatch.setattr(generator, "_BLOCK_UPDATES", 3)
+        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        assert list(bulk.states(5)) == [loop.round() for _ in range(5)]
+        assert bulk.path_blocks["round"] == 5
+
+    def test_block_rounds_unchanged_at_small_k(self):
+        # at k = 13 the update cap leaves whole blocks of _BLOCK_ROUNDS
+        bulk, _ = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        bulk.states(2 * generator._BLOCK_ROUNDS)
+        assert bulk.path_blocks["composed"] == 2
+
+
+class TestPathBlocks:
+    """path_blocks counts the blocks each path of states() ran."""
+
+    def test_long_narrow_call_is_composed(self):
+        bulk, _ = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        bulk.states(generator._BLOCK_ROUNDS + 100)
+        assert bulk.path_blocks == {"composed": 2, "scalar": 0, "round": 0}
+
+    def test_wide_call_is_scalar(self):
+        bulk, _ = TestFastPath.make_pair(func.negation(12).images, 12, k=37)
+        bulk.states(200)
+        assert bulk.path_blocks == {"composed": 0, "scalar": 1, "round": 0}
+
+    def test_short_call_runs_round(self):
+        bulk, _ = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        bulk.states(generator._BULK_MIN_ROUNDS - 1)
+        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 1}
+
+    def test_failure_replay_runs_round(self):
+        bits, coords = TestScriptedBulk.scripts(300)
+        bulk, _ = TestScriptedBulk.make_pair(bits[:250], coords)
+        with pytest.raises(ScriptExhaustedError):
+            bulk.states(300)
+        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 1}

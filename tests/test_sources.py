@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ciprng import sources
 from ciprng.errors import ScriptExhaustedError
@@ -124,6 +125,108 @@ class TestXorshift64Arrays:
         first = list(x.words(10))
         x.setstate(saved)
         assert list(x.words(10)) == first
+
+
+def brute_byte_tables(columns):
+    """Byte-sliced tables of the matrix with these 64 columns, by plain XORs."""
+    tables = [[0] * 256 for _ in range(8)]
+    for j in range(8):
+        for v in range(256):
+            for b in range(8):
+                if v >> b & 1:
+                    tables[j][v] ^= columns[8 * j + b]
+    return np.array(tables, dtype=np.uint64)
+
+
+class TestMatrixTables:
+    """The cached byte-sliced matrices equal matrices made by single steps."""
+
+    @pytest.mark.parametrize("log_steps", [0, 1, 3, 6])
+    def test_jump_tables(self, log_steps):
+        columns = []
+        for i in range(64):
+            x = sources.Xorshift64(1 << i)
+            for _ in range(1 << log_steps):
+                x.next_word()
+            columns.append(x.state)
+        assert np.array_equal(sources._jump_tables(log_steps), brute_byte_tables(columns))
+
+    def test_plane_tables(self):
+        tables = sources._plane_tables()
+        assert tables.shape == (sources._MAX_PLANES, 8, 256)
+        # row b of the walk: M^b of each unit word, b = 0 being the word itself
+        walk = []
+        for i in range(64):
+            x = sources.Xorshift64(1 << i)
+            walk.append([1 << i] + [x.next_word() for _ in range(63)])
+        for plane in range(sources._MAX_PLANES):
+            # column i: bit b is bit `plane` of M^b e_i
+            columns = [sum((w >> plane & 1) << b for b, w in enumerate(row)) for row in walk]
+            assert np.array_equal(tables[plane], brute_byte_tables(columns)), plane
+
+
+# widths read from bit planes, and widths read from whole words
+PLANE_WIDTHS = (2, 4, 8, 16)
+WORD_WIDTHS = (3, 5, 12)
+# around each anchor stride and each doubling of the anchor walk, up to
+# past its steady jump of 8192 anchors
+PLANE_COUNTS = sorted(
+    {0, 1, 63, 64, 65}
+    | {64 * (1 << t) + d for t in range(15) for d in (-1, 1)}
+)
+
+
+def from_words(words, n_bits):
+    return (words % np.uint64(n_bits)).astype(np.int64) + 1
+
+
+class TestPlaneDraws:
+    """bits() and coordinates() equal values derived from words(), state included."""
+
+    @pytest.mark.parametrize("count", PLANE_COUNTS)
+    def test_bits_and_coordinates_equal_words(self, count):
+        ref = sources.Xorshift64(0x5EED)
+        words = ref.words(count)
+        x = sources.Xorshift64(0x5EED)
+        bits = x.bits(count)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, (words & np.uint64(1)).astype(np.uint8))
+        assert x.state == ref.state
+        for n_bits in PLANE_WIDTHS + WORD_WIDTHS:
+            x = sources.Xorshift64(0x5EED)
+            coords = x.coordinates(count, n_bits)
+            assert coords.dtype == np.int64
+            assert np.array_equal(coords, from_words(words, n_bits)), n_bits
+            assert x.state == ref.state, n_bits
+
+    def test_consecutive_calls_continue_the_stream(self):
+        ref, x = sources.Xorshift64(2024), sources.Xorshift64(2024)
+        # (count, n_bits) of each call, n_bits 0 standing for bits()
+        calls = [(1, 0), (63, 4), (64, 2), (0, 8), (65, 16), (129, 3), (4095, 4), (1, 16),
+                 (8191, 8), (4097, 0), (3000, 12), (127, 2), (70000, 4), (5, 5)]
+        for count, n_bits in calls:
+            words = ref.words(count)
+            if n_bits:
+                assert np.array_equal(x.coordinates(count, n_bits), from_words(words, n_bits))
+            else:
+                assert np.array_equal(x.bits(count), (words & np.uint64(1)).astype(np.uint8))
+            assert x.state == ref.state, (count, n_bits)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(1, (1 << 64) - 1),
+        counts=st.lists(st.integers(0, 3000), min_size=1, max_size=4),
+        n_bits=st.sampled_from(PLANE_WIDTHS + WORD_WIDTHS),
+    )
+    def test_draws_equal_words_for_any_seed(self, seed, counts, n_bits):
+        ref, x = sources.Xorshift64(seed), sources.Xorshift64(seed)
+        for i, count in enumerate(counts):
+            words = ref.words(count)
+            if i % 2:
+                assert np.array_equal(x.bits(count), (words & np.uint64(1)).astype(np.uint8))
+            else:
+                assert np.array_equal(x.coordinates(count, n_bits), from_words(words, n_bits))
+            assert x.state == ref.state
 
 
 class TestScriptedSource:

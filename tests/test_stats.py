@@ -285,6 +285,38 @@ class TestExport:
         stats.export_stream(bits, "raw-bytes", path)
         assert stats.bitops.bits_to_str(stats.read_stream(path, "raw-bytes")) == bits
 
+    def test_ascii_drops_all_split_whitespace(self, tmp_path):
+        # str.split() also splits at the separators \x1c-\x1f
+        path = tmp_path / "s.txt"
+        path.write_bytes(b" 01\t1\r\n0\x0b\x0c1\x1c0\x1d0\x1e1\x1f \n")
+        assert stats.bitops.bits_to_str(stats.read_stream(path, "ascii-01")) == "01101001"
+
+    def test_ascii_rejects_non_ascii_bytes(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"0110\xa01")  # a no-break space in Latin-1
+        with pytest.raises(UnicodeDecodeError, match="position 4"):
+            stats.read_stream(path, "ascii-01")
+
+    @pytest.mark.parametrize("char", [b"2", b"a", b"\x00", b"\x7f", b"/"])
+    def test_ascii_rejects_other_characters(self, tmp_path, char):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"01 1" + char + b"0\n")
+        with pytest.raises(ValueError, match="values other than 0 and 1"):
+            stats.read_stream(path, "ascii-01")
+
+    @given(st.binary(max_size=40) | st.lists(st.sampled_from(b"01 \t\n\r\x0b\x0c\x1c\x1f\x85")).map(bytes))
+    def test_ascii_parse_equals_text_split(self, data):
+        def outcome(parse):
+            try:
+                return parse().tolist()
+            except (UnicodeDecodeError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        def text_split():
+            return stats.bitops.as_bit_array("".join(data.decode("ascii").split()))
+
+        assert outcome(lambda: stats._parse_ascii_bits(data)) == outcome(text_split)
+
     def test_raw_rejects_partial_byte(self, tmp_path):
         with pytest.raises(ValueError):
             stats.export_stream("0100", "raw-bytes", tmp_path / "x.bin")
