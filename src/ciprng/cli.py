@@ -183,10 +183,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    if args.function is not None:
-        f = func.read_function(args.function)
-    else:
-        f = func.negation(args.n_bits)
+    f = _load_function(args)
     dot = graph.export_dot(graph.build_graph(f))
     if args.output:
         Path(args.output).write_text(dot, encoding="ascii")

@@ -117,16 +117,16 @@ class BalanceVerdict:
         return self.balanced
 
 
-def negation(n_bits: int, max_bits: int = MAX_TABLE_BITS) -> VectorOfImages:
+def negation(n_bits: int) -> VectorOfImages:
     """The map complementing every coordinate: images[q] = 2^N - 1 - q."""
-    _check_width(n_bits, max_bits)
+    _check_width(n_bits, MAX_TABLE_BITS)
     mask = (1 << n_bits) - 1
     return VectorOfImages(n_bits, tuple(mask ^ q for q in range(1 << n_bits)))
 
 
-def identity(n_bits: int, max_bits: int = MAX_TABLE_BITS) -> VectorOfImages:
+def identity(n_bits: int) -> VectorOfImages:
     """The map leaving every state fixed: images[q] = q."""
-    _check_width(n_bits, max_bits)
+    _check_width(n_bits, MAX_TABLE_BITS)
     return VectorOfImages(n_bits, tuple(range(1 << n_bits)))
 
 
@@ -338,7 +338,7 @@ def format_function(f: VectorOfImages) -> str:
     return f"{f.n_bits}\n{' '.join(str(v) for v in f.images)}\n"
 
 
-def parse_function(text: str, max_bits: int = MAX_TABLE_BITS) -> VectorOfImages:
+def parse_function(text: str) -> VectorOfImages:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise FunctionFormatError("missing width line", 1, 1)
@@ -346,8 +346,8 @@ def parse_function(text: str, max_bits: int = MAX_TABLE_BITS) -> VectorOfImages:
     if not re.fullmatch(r"\d+", header):
         raise FunctionFormatError(f"width must be a decimal integer, got {header!r}", 1, 1)
     n_bits = int(header)
-    if n_bits < 2 or n_bits > max_bits:
-        raise FunctionFormatError(f"width {n_bits} outside [2, {max_bits}]", 1, 1)
+    if n_bits < 2 or n_bits > MAX_TABLE_BITS:
+        raise FunctionFormatError(f"width {n_bits} outside [2, {MAX_TABLE_BITS}]", 1, 1)
     if len(lines) < 2:
         raise FunctionFormatError("missing images line", 2, 1)
     for extra in range(2, len(lines)):
@@ -376,8 +376,8 @@ def parse_function(text: str, max_bits: int = MAX_TABLE_BITS) -> VectorOfImages:
     return VectorOfImages(n_bits, tuple(images))
 
 
-def read_function(path: str | Path, max_bits: int = MAX_TABLE_BITS) -> VectorOfImages:
-    return parse_function(Path(path).read_text(encoding="ascii"), max_bits=max_bits)
+def read_function(path: str | Path) -> VectorOfImages:
+    return parse_function(Path(path).read_text(encoding="ascii"))
 
 
 def write_function(f: VectorOfImages, path: str | Path) -> None:

@@ -47,8 +47,6 @@ class EntropySource:
     only draw a block in bulk from a source it can rewind.
     """
 
-    kind: str
-
     def next_bit(self) -> int:
         raise NotImplementedError
 
@@ -85,8 +83,6 @@ class Xorshift64(EntropySource):
     without building the words (see _low_bits); other N take
     words() mod N.
     """
-
-    kind = "xorshift"
 
     def __init__(self, seed: int = DEFAULT_BIT_SEED):
         if not 0 < seed <= _MASK64:
@@ -253,8 +249,6 @@ class ScriptedSource(EntropySource):
     nothing: one that would run out, or would meet a value out of range,
     raises before it moves the cursor.
     """
-
-    kind = "scripted"
 
     def __init__(self, values: Sequence[int], cycle: bool = False):
         self.values = tuple(int(v) for v in values)

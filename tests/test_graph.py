@@ -1,8 +1,14 @@
+from collections import Counter
 import itertools
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ciprng
 from ciprng import func, graph
 from ciprng.errors import ResourceLimitError
 
@@ -44,10 +50,6 @@ class TestBuildGraph:
     def test_size_limit(self):
         with pytest.raises(ResourceLimitError):
             graph.build_graph(func.negation(13))
-        # a custom limit is honored
-        graph.build_graph(func.negation(4), max_bits=4)
-        with pytest.raises(ResourceLimitError):
-            graph.build_graph(func.negation(5), max_bits=4)
 
 
 class TestStrongConnectivity:
@@ -118,10 +120,31 @@ def assert_verdict_matches_oracle(g):
     return verdict
 
 
+def has_complete_direction(f):
+    """True when the matching that f's paired edits make with the negation
+    takes all 2^(N-1) edges of one direction of the N-cube.
+
+    A vertex q matched along the edge of weight w has f(q) XOR q = mask XOR w,
+    an unmatched one mask; a direction is complete when all 2^N vertices are
+    matched along it.
+    """
+    mask = (1 << f.n_bits) - 1
+    weights = Counter(y ^ q ^ mask for q, y in enumerate(f.images))
+    return any(weights[1 << b] == 1 << f.n_bits for b in range(f.n_bits))
+
+
+def apply_matching(n_bits, edges):
+    """The negation with its images swapped across each edge of a matching."""
+    images = list(func.negation(n_bits).images)
+    for q, partner in edges:
+        images[q], images[partner] = images[partner], images[q]
+    return func.VectorOfImages(n_bits, tuple(images))
+
+
 class TestReachabilityShortcut:
     """`is_strongly_connected` answers balanced graphs with one sweep from
-    vertex 0 and leaves every other case to Tarjan; the verdicts must be
-    those of the BFS oracle either way."""
+    vertex 0 and leaves every other case to `strongly_connected_components`;
+    the verdicts must be those of the BFS oracle either way."""
 
     def test_all_width2_functions(self):
         for images in itertools.product(range(4), repeat=4):
@@ -150,14 +173,50 @@ class TestReachabilityShortcut:
         assert not verdict.strongly_connected
         assert verdict.scc_count == len(graph.strongly_connected_components(g))
 
+    @pytest.mark.parametrize("n_bits", [2, 3, 4])
+    def test_matching_criterion_on_every_matching(self, n_bits):
+        # the graph of a matching is Q_N minus the matching, plus loops; it is
+        # strongly connected exactly when no direction is complete
+        chaotic = 0
+        for f in func.search_functions(n_bits, 1 << (n_bits - 1)):
+            verdict = graph.is_strongly_connected(graph.build_graph(f))
+            assert verdict.strongly_connected != has_complete_direction(f)
+            chaotic += verdict.strongly_connected
+        assert chaotic == {2: 7 - 2, 3: 108 - 3, 4: 41025 - 4}[n_bits]
+
+    @pytest.mark.parametrize("n_bits", range(5, 9))
+    def test_matching_criterion_on_random_matchings(self, n_bits):
+        rnd = random.Random(700 + n_bits)
+        size = 1 << n_bits
+        outcomes = Counter()
+        for _ in range(60):
+            # all of one direction's edges, all but one or two, or a random share
+            b = rnd.randrange(n_bits)
+            own = [(q, q | 1 << b) for q in range(size) if not q >> b & 1]
+            rnd.shuffle(own)
+            edges = own[: size // 2 - rnd.choice([0, 0, 1, 2, rnd.randrange(size // 2)])]
+            used = {q for edge in edges for q in edge}
+            others = [(q, q ^ 1 << c) for q in range(size) for c in range(n_bits) if q < q ^ 1 << c]
+            rnd.shuffle(others)
+            for q, partner in others:
+                if q not in used and partner not in used and rnd.random() < 0.5:
+                    edges.append((q, partner))
+                    used.update((q, partner))
+            f = apply_matching(n_bits, edges)
+            complete = has_complete_direction(f)
+            verdict = graph.is_strongly_connected(graph.build_graph(f))
+            assert verdict.strongly_connected != complete
+            outcomes[complete] += 1
+        assert outcomes[True] and outcomes[False]
+
     @pytest.fixture
     def tarjan_calls(self, monkeypatch):
         calls = []
-        tarjan = graph.strongly_connected_components
+        scc = graph.strongly_connected_components
 
         def counting(g):
             calls.append(g)
-            return tarjan(g)
+            return scc(g)
 
         monkeypatch.setattr(graph, "strongly_connected_components", counting)
         return calls
@@ -177,6 +236,21 @@ class TestReachabilityShortcut:
     def test_identity_runs_tarjan(self, tarjan_calls):
         assert not graph.is_strongly_connected(graph.build_graph(func.identity(3)))
         assert len(tarjan_calls) >= 1
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # `strongly_connected_components` imports scipy.sparse when called, so
+    # that `import ciprng` does not pay for it
+    src = str(Path(ciprng.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ciprng; print('scipy.sparse' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 class TestExportDot:
