@@ -39,6 +39,8 @@ from .errors import FunctionFormatError, MutationError, ResourceLimitError
 
 # 2^N-entry tables must fit comfortably in memory.
 MAX_TABLE_BITS = 16
+# full-graph analysis walks N * 2^N arcs; keep it desk-scale
+MAX_GRAPH_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -276,17 +278,21 @@ def search_functions(
     produced and the output sequence is deterministic.  Enumeration stops
     at the first size that has no matching.
 
-    Every candidate is confirmed balanced before being emitted; with
-    `require_chaos` the candidate's iteration graph must additionally be
-    strongly connected.  Raises ResourceLimitError, after the functions
-    already emitted, on reaching a candidate beyond the first
-    `max_candidates`; raises ValueError when `max_candidates` < 1.
+    No candidate is checked.  Each is balanced by construction, as the
+    negation swapped across a matching (`balance_rule_check` accepts it).
+    Its iteration graph is Q_N minus the matching, plus loops; by the
+    edge-isoperimetric inequality on Q_N it is disconnected exactly when
+    the matching holds all 2^(N-1) edges of one direction b.  Those cover
+    every vertex, so f(q) = NOT q XOR 2^b, whose coordinate b never
+    changes: `require_chaos` drops exactly these N functions.
+
+    Raises ResourceLimitError, after the functions already emitted, on
+    reaching a candidate beyond the first `max_candidates`; raises
+    ValueError when `max_candidates` < 1.
 
     `max_mutations=0` yields exactly the negation.
     """
-    from . import graph as _graph  # runtime import: graph builds on this module
-
-    _check_width(n_bits, _graph.MAX_GRAPH_BITS)
+    _check_width(n_bits, MAX_GRAPH_BITS)
     if max_mutations < 0:
         raise ValueError(f"max_mutations must be >= 0, got {max_mutations}")
     if max_candidates < 1:
@@ -295,6 +301,7 @@ def search_functions(
     edges = [(q, q ^ (1 << b)) for q in range(size) for b in range(n_bits) if q < q ^ (1 << b)]
     images = list(negation(n_bits).images)
     used = bytearray(size)
+    not_chaotic = {tuple(v ^ (1 << b) for v in images) for b in range(n_bits)} if require_chaos else ()
 
     def matchings(first: int, left: int) -> Iterator[None]:
         """Yield once per vertex-disjoint choice of `left` edges from edges[first:],
@@ -319,13 +326,9 @@ def search_functions(
             if count == max_candidates:
                 raise ResourceLimitError(f"search exceeded the cap of {max_candidates} candidates")
             count += 1
-            vec = VectorOfImages(n_bits, tuple(images))
-            if not is_balanced(vec).balanced:
-                continue
-            if require_chaos:
-                if not _graph.is_strongly_connected(_graph.build_graph(vec)).strongly_connected:
-                    continue
-            yield vec
+            vec = tuple(images)
+            if vec not in not_chaotic:
+                yield VectorOfImages(n_bits, vec)
         if count == before:
             break
 

@@ -19,10 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceLimitError
-from .func import MappingMatrix, VectorOfImages, mapping_matrix
-
-# full-graph analysis walks N * 2^N arcs; keep it desk-scale
-MAX_GRAPH_BITS = 12
+from .func import MAX_GRAPH_BITS, MappingMatrix, VectorOfImages, mapping_matrix
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special as _special
+import scipy  # scipy.special loads on first use, not on every `import ciprng`
 
 from . import bitops
 from .errors import StreamTooShortError
@@ -31,7 +31,7 @@ def frequency_monobit(bits) -> float:
     """Balance of ones vs zeros over the whole stream."""
     arr = _require(bits, "frequency", 100)
     s = abs(2 * int(arr.sum()) - arr.size)
-    return float(_special.erfc(s / np.sqrt(arr.size) / np.sqrt(2.0)))
+    return float(scipy.special.erfc(s / np.sqrt(arr.size) / np.sqrt(2.0)))
 
 
 def block_frequency(bits, block_size: int = 128) -> float:
@@ -44,7 +44,7 @@ def block_frequency(bits, block_size: int = 128) -> float:
         raise StreamTooShortError("block-frequency", block_size, arr.size)
     pi = arr[: n_blocks * block_size].reshape(n_blocks, block_size).mean(axis=1)
     chi2 = 4.0 * block_size * float(((pi - 0.5) ** 2).sum())
-    return float(_special.gammaincc(n_blocks / 2.0, chi2 / 2.0))
+    return float(scipy.special.gammaincc(n_blocks / 2.0, chi2 / 2.0))
 
 
 def runs(bits) -> float:
@@ -57,7 +57,7 @@ def runs(bits) -> float:
     v = 1 + int(np.count_nonzero(np.diff(arr)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * np.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(_special.erfc(num / den))
+    return float(scipy.special.erfc(num / den))
 
 
 # per-regime constants: (minimum n, block size M, degrees K, run-length
@@ -102,7 +102,7 @@ def longest_run_of_ones(bits) -> float:
         counts[idx] += 1
     expected = n_blocks * np.asarray(pi)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return float(_special.gammaincc(k / 2.0, chi2 / 2.0))
+    return float(scipy.special.gammaincc(k / 2.0, chi2 / 2.0))
 
 
 def _max_run_of_ones(block: np.ndarray) -> int:
@@ -134,8 +134,8 @@ def _cusum_p(steps: np.ndarray) -> float:
 
     def phi_term(lo: int, hi: int, a: int, b: int) -> float:
         ks = np.arange(lo, hi + 1, dtype=np.float64)
-        upper = _special.ndtr((4 * ks + a) * z / sqrt_n)
-        lower = _special.ndtr((4 * ks + b) * z / sqrt_n)
+        upper = scipy.special.ndtr((4 * ks + a) * z / sqrt_n)
+        lower = scipy.special.ndtr((4 * ks + b) * z / sqrt_n)
         return float((upper - lower).sum())
 
     sum1 = phi_term(_c_div(-nz + 1, 4), _c_div(nz - 1, 4), 1, -1)
@@ -162,8 +162,8 @@ def serial(bits, block: int = 10) -> tuple[float, float]:
     psi_m2 = _psi_sq(_marginal(counts), n)
     del1 = psi_m - psi_m1
     del2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(_special.gammaincc(2 ** (block - 2), del1 / 2.0))
-    p2 = float(_special.gammaincc(2 ** (block - 3), del2 / 2.0))
+    p1 = float(scipy.special.gammaincc(2 ** (block - 2), del1 / 2.0))
+    p2 = float(scipy.special.gammaincc(2 ** (block - 3), del2 / 2.0))
     return p1, p2
 
 
@@ -178,7 +178,7 @@ def approximate_entropy(bits, block: int = 10) -> float:
     phi_lo = _phi(_marginal(counts_up), n)
     apen = phi_lo - phi_up
     chi2 = 2.0 * n * (np.log(2.0) - apen)
-    return float(_special.gammaincc(2 ** (block - 1), chi2 / 2.0))
+    return float(scipy.special.gammaincc(2 ** (block - 1), chi2 / 2.0))
 
 
 def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
@@ -217,7 +217,7 @@ def chi_square_symbols(states: Sequence[int], n_bits: int) -> float:
     counts = np.bincount(arr, minlength=size)
     expected = arr.size / size
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return float(_special.gammaincc((size - 1) / 2.0, chi2 / 2.0))
+    return float(scipy.special.gammaincc((size - 1) / 2.0, chi2 / 2.0))
 
 
 def _require(bits, test: str, minimum: int) -> np.ndarray:

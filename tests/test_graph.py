@@ -176,13 +176,20 @@ class TestReachabilityShortcut:
     @pytest.mark.parametrize("n_bits", [2, 3, 4])
     def test_matching_criterion_on_every_matching(self, n_bits):
         # the graph of a matching is Q_N minus the matching, plus loops; it is
-        # strongly connected exactly when no direction is complete
-        chaotic = 0
-        for f in func.search_functions(n_bits, 1 << (n_bits - 1)):
+        # strongly connected exactly when no direction is complete, and
+        # search_functions(require_chaos=True) drops exactly those matchings
+        depth = 1 << (n_bits - 1)
+        chaotic, dropped = [], []
+        for f in func.search_functions(n_bits, depth):
             verdict = graph.is_strongly_connected(graph.build_graph(f))
             assert verdict.strongly_connected != has_complete_direction(f)
-            chaotic += verdict.strongly_connected
-        assert chaotic == {2: 7 - 2, 3: 108 - 3, 4: 41025 - 4}[n_bits]
+            (chaotic if verdict.strongly_connected else dropped).append(f)
+        assert len(chaotic) == {2: 7 - 2, 3: 108 - 3, 4: 41025 - 4}[n_bits]
+        assert list(func.search_functions(n_bits, depth, require_chaos=True)) == chaotic
+        mask = (1 << n_bits) - 1
+        assert {f.images for f in dropped} == {
+            tuple(mask ^ q ^ (1 << b) for q in range(1 << n_bits)) for b in range(n_bits)
+        }
 
     @pytest.mark.parametrize("n_bits", range(5, 9))
     def test_matching_criterion_on_random_matchings(self, n_bits):
@@ -228,11 +235,6 @@ class TestReachabilityShortcut:
             assert graph.is_strongly_connected(graph.build_graph(func.VectorOfImages(4, images)))
         assert tarjan_calls == []
 
-    def test_search_runs_tarjan_only_on_rejected_matchings(self, tarjan_calls):
-        # 41025 matchings of Q_4, of which 41021 are chaotic
-        assert sum(1 for _ in func.search_functions(4, 8, require_chaos=True)) == 41021
-        assert len(tarjan_calls) == 41025 - 41021
-
     def test_identity_runs_tarjan(self, tarjan_calls):
         assert not graph.is_strongly_connected(graph.build_graph(func.identity(3)))
         assert len(tarjan_calls) >= 1
@@ -240,17 +242,18 @@ class TestReachabilityShortcut:
 
 def test_import_leaves_scipy_sparse_unloaded():
     # `strongly_connected_components` imports scipy.sparse when called, so
-    # that `import ciprng` does not pay for it
+    # that `import ciprng` does not pay for it; a chaos search needs no graph
     src = str(Path(ciprng.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ciprng; print('scipy.sparse' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
-    assert proc.stdout == "False\n"
+    for work in ["", "list(ciprng.search_functions(2, 4, require_chaos=True)); "]:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, ciprng; {work}print('scipy.sparse' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        assert proc.stdout == "False\n", work
 
 
 class TestExportDot:

@@ -6,6 +6,10 @@ here as oracles for the implemented formulas.
 """
 
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special as sp
 
+import ciprng
 from ciprng import func, stats
 from ciprng.errors import StreamTooShortError
 from ciprng.generator import CiGenerator, GeneratorConfig
@@ -171,6 +176,22 @@ class TestSpecialFunctionAccuracy:
         mpmath.mp.dps = 40
         ref = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
         assert abs(float(sp.gammaincc(a, x)) - ref) <= 1e-10
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special adds about 26 MiB and 0.3 s to a process; only the battery
+    # needs it, so it loads at the first test that runs
+    src = str(Path(ciprng.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for work, loaded in [("", False), ("ciprng.frequency_monobit('01' * 50); ", True)]:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, ciprng; {work}print('scipy.special' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        assert proc.stdout == f"{loaded}\n", work
 
 
 class TestLongestRunConstants:
