@@ -16,7 +16,6 @@ from .errors import (
 )
 from .func import (
     BalanceVerdict,
-    MappingMatrix,
     VectorOfImages,
     balance_rule_check,
     identity,

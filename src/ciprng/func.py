@@ -15,9 +15,10 @@ Conventions used across the package:
 
 The mapping matrix of f is the N x 2^N table whose cell (p, q) is the
 state reached from q by one single-coordinate update: coordinate p
-alone is replaced by coordinate p of f(q).  `update_table` is its one
-definition, a numpy array; `mapping_matrix`, `is_balanced`, the
-iteration graph and the generator's composed update tables all read it.
+alone is replaced by coordinate p of f(q).  `mapping_matrix` is its one
+definition and its one form, an (N, 2^N) int32 numpy array holding cell
+(p, q) at [p - 1, q]; `is_balanced`, the iteration graph and the
+generator's composed update tables all read it.
 
 A function is *balanced* when every row of its mapping matrix is a
 permutation of [0, 2^N - 1]; single-coordinate updates then preserve a
@@ -37,10 +38,9 @@ import numpy as np
 
 from .errors import FunctionFormatError, MutationError, ResourceLimitError
 
-# 2^N-entry tables must fit comfortably in memory.
+# 2^N-entry tables, and the N * 2^N cells of the mapping matrix, must fit
+# comfortably in memory.
 MAX_TABLE_BITS = 16
-# full-graph analysis walks N * 2^N arcs; keep it desk-scale
-MAX_GRAPH_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,6 @@ class VectorOfImages:
     def coordinate(self, value: int, p: int) -> int:
         """Digit p (in [1, N], weight 2^(N-p)) of `value`."""
         return (value >> (self.n_bits - p)) & 1
-
-
-@dataclass(frozen=True)
-class MappingMatrix:
-    """Next states under single-coordinate updates.
-
-    cells[p-1][q] is the state reached from q when coordinate p alone is
-    replaced by coordinate p of f(q): the tuple view of `update_table`.
-    """
-
-    n_bits: int
-    cells: tuple[tuple[int, ...], ...]
-
-    def cell(self, p: int, q: int) -> int:
-        return self.cells[p - 1][q]
 
 
 @dataclass(frozen=True)
@@ -150,7 +135,7 @@ def _axes(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     return states, weights
 
 
-def update_table(f: VectorOfImages) -> np.ndarray:
+def mapping_matrix(f: VectorOfImages) -> np.ndarray:
     """The mapping matrix of f as a fresh (N, 2^N) int32 array.
 
     Entry [p-1, q] is the state reached from q when coordinate p alone
@@ -163,11 +148,6 @@ def update_table(f: VectorOfImages) -> np.ndarray:
     return table
 
 
-def mapping_matrix(f: VectorOfImages) -> MappingMatrix:
-    """The N x 2^N table of single-coordinate successors of f, as tuples."""
-    return MappingMatrix(f.n_bits, tuple(map(tuple, update_table(f).tolist())))
-
-
 def is_balanced(f: VectorOfImages) -> BalanceVerdict:
     """Definitional balance check: every mapping-matrix row is a permutation.
 
@@ -177,14 +157,14 @@ def is_balanced(f: VectorOfImages) -> BalanceVerdict:
     met twice in it in q order.
     """
     states, _ = _axes(f.n_bits)
-    table = update_table(f)
+    table = mapping_matrix(f)
     table.sort(axis=1)
     wrong = table != states
     if not np.count_nonzero(wrong):
         return BalanceVerdict(True)
     p = int(wrong.any(axis=1).argmax())
     seen = bytearray(f.size)
-    for cell in update_table(f)[p].tolist():
+    for cell in mapping_matrix(f)[p].tolist():
         if seen[cell]:
             return BalanceVerdict(False, (p + 1, cell))
         seen[cell] = 1
@@ -292,7 +272,7 @@ def search_functions(
 
     `max_mutations=0` yields exactly the negation.
     """
-    _check_width(n_bits, MAX_GRAPH_BITS)
+    _check_width(n_bits, MAX_TABLE_BITS)
     if max_mutations < 0:
         raise ValueError(f"max_mutations must be >= 0, got {max_mutations}")
     if max_candidates < 1:

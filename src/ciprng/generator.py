@@ -9,7 +9,7 @@ of f(state).  The state after the m updates is the round output.
 same outputs in bulk: it draws a block's bits and coordinates as arrays,
 then runs the block's updates either through composed update tables
 (narrow N) or a scalar loop (wide N).  The composed tables start from
-f's mapping matrix as `func.update_table` builds it.  A bulk block
+f's mapping matrix as `func.mapping_matrix` builds it.  A bulk block
 holds at most _BLOCK_ROUNDS rounds and _BLOCK_UPDATES updates, so its
 arrays stay bounded at any k.  Short blocks, and blocks whose draws
 fail, run round() instead.
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bitops
 from .errors import ScriptExhaustedError
-from .func import VectorOfImages, update_table
+from .func import VectorOfImages, mapping_matrix
 from .sources import EntropySource
 
 # Rounds per bulk block, and updates per bulk block: together they bound
@@ -226,14 +226,14 @@ class CiGenerator:
 
         Row c_1 + (N+1) c_2 + ... + (N+1)^(g-1) c_g maps each state
         through the updates of row c_1 first, then c_2, ..., c_g.  The
-        one-update table is f's mapping matrix (`func.update_table`),
+        one-update table is f's mapping matrix (`func.mapping_matrix`),
         whose row c updates coordinate c + 1, with the identity below it
         as row N.
         """
         if self._groups is None:
             f = self.config.f
             n = f.n_bits
-            single = np.vstack([update_table(f), np.arange(f.size)])
+            single = np.vstack([mapping_matrix(f), np.arange(f.size)])
             g, table = 1, single
             while g <= self.config.k and (n + 1) ** (g + 1) * f.size <= _GROUP_ENTRIES:
                 table = single[:, table].reshape(-1, f.size)

@@ -2,7 +2,10 @@
 
 The iteration graph of f has the 2^N states as vertices and, for each
 state x and coordinate label i in [1, N], one arc from x to the state
-obtained by replacing coordinate i of x with coordinate i of f(x).  The
+obtained by replacing coordinate i of x with coordinate i of f(x).  That
+arc's head is cell (i, x) of f's mapping matrix, so the graph is the
+matrix itself: `IterationGraph` holds the (N, 2^N) array that
+`func.mapping_matrix` returns and every routine here reads it.  The
 generator built on f behaves chaotically exactly when this graph is
 strongly connected.  When every row of the mapping matrix is a
 permutation (f balanced), one reachability sweep from vertex 0 decides
@@ -18,21 +21,23 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .func import MAX_GRAPH_BITS, MappingMatrix, VectorOfImages, mapping_matrix
+from .func import VectorOfImages, mapping_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationGraph:
     """Directed graph on [0, 2^N - 1] with N labeled arcs per vertex.
 
-    Stored implicitly through the mapping matrix: the arc leaving x with
-    label i targets cell (i, x), so no separate adjacency structure is
-    allocated.
+    `matrix` is the mapping matrix, an (N, 2^N) integer array made
+    read-only here: the arc leaving x with label i targets matrix[i-1, x],
+    so no separate adjacency structure is allocated.
     """
 
     n_bits: int
-    matrix: MappingMatrix
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -40,11 +45,11 @@ class IterationGraph:
 
     def target(self, x: int, label: int) -> int:
         """Head of the arc leaving vertex x with label in [1, N]."""
-        return self.matrix.cell(label, x)
+        return int(self.matrix[label - 1, x])
 
     def out_arcs(self, x: int) -> tuple[int, ...]:
         """Arc targets from x for labels 1..N, in label order."""
-        return tuple(row[x] for row in self.matrix.cells)
+        return tuple(self.matrix[:, x].tolist())
 
 
 @dataclass(frozen=True)
@@ -64,21 +69,14 @@ class ChaosVerdict:
 
 
 def build_graph(f: VectorOfImages) -> IterationGraph:
-    """Materialize the iteration graph of f (refuses n_bits > MAX_GRAPH_BITS)."""
-    if f.n_bits > MAX_GRAPH_BITS:
-        raise ResourceLimitError(
-            f"n_bits={f.n_bits} exceeds the exhaustive-graph limit of {MAX_GRAPH_BITS}"
-        )
+    """The iteration graph of f, on a fresh array of its mapping matrix."""
     return IterationGraph(f.n_bits, mapping_matrix(f))
 
 
-def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
-    """The strongly connected components of g, found by scipy's
-    strong-components routine (Pearce's algorithm, in C).
-
-    Components come in ascending order of their smallest vertex, and the
-    vertices of each in ascending order.
-    """
+def _component_labels(g: IterationGraph) -> tuple[int, np.ndarray]:
+    """The number of strongly connected components of g and each vertex's
+    component label, from scipy's strong-components routine (Pearce's
+    algorithm, in C)."""
     # imported here, not at module level: scipy.sparse adds about 0.12 s and
     # 11 MiB to every `import ciprng`, and only graphs the sweep cannot
     # settle need it
@@ -86,10 +84,19 @@ def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
     from scipy.sparse.csgraph import connected_components
 
     n = g.n_vertices
-    heads = np.array(g.matrix.cells).ravel()
+    heads = g.matrix.ravel()
     tails = np.tile(np.arange(n), g.n_bits)
     arcs = csr_array((np.ones(heads.size, dtype=np.int8), (tails, heads)), shape=(n, n))
-    _, labels = connected_components(arcs, directed=True, connection="strong")
+    return connected_components(arcs, directed=True, connection="strong")
+
+
+def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
+    """The strongly connected components of g.
+
+    Components come in ascending order of their smallest vertex, and the
+    vertices of each in ascending order.
+    """
+    _, labels = _component_labels(g)
     comps: dict[int, list[int]] = {}
     for x, label in enumerate(labels.tolist()):
         comps.setdefault(label, []).append(x)
@@ -98,25 +105,24 @@ def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
 
 def _permutations_reach_all(g: IterationGraph) -> bool:
     """True when every row of the mapping matrix is a permutation and one
-    forward sweep from vertex 0 reaches every vertex."""
+    forward sweep from vertex 0 reaches every vertex.
+
+    The cells lie in [0, 2^N - 1], so a row is a permutation exactly when,
+    sorted, it reads 0, 1, ..., 2^N - 1.  The sweep gathers the heads of
+    all arcs leaving one level's frontier at once.
+    """
+    rows = g.matrix
     n = g.n_vertices
-    rows = g.matrix.cells
-    for row in rows:
-        if len(set(row)) != n:
-            return False
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for row in rows:
-            w = row[v]
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-    return reached == n
+    if not (np.sort(rows, axis=1) == np.arange(n)).all():
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=rows.dtype)
+    while frontier.size:
+        heads = rows[:, frontier]
+        frontier = np.unique(heads[~seen[heads]])
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def is_strongly_connected(g: IterationGraph) -> ChaosVerdict:
@@ -127,8 +133,8 @@ def is_strongly_connected(g: IterationGraph) -> ChaosVerdict:
     tail back: the graph is a union of cycles, in which v reaches u
     whenever u reaches v.  There "vertex 0 reaches every vertex" is the
     same as strong connectivity, and one forward sweep settles it.
-    `strongly_connected_components` runs only when a row is not a
-    permutation or the sweep misses a vertex; it gives the component
+    scipy's strong components are computed only when a row is not a
+    permutation or the sweep misses a vertex; they give the component
     count and the witness.
 
     The witness (u, v): u is the smallest vertex of any sink, a component
@@ -138,21 +144,16 @@ def is_strongly_connected(g: IterationGraph) -> ChaosVerdict:
     """
     if _permutations_reach_all(g):
         return ChaosVerdict(True, 1)
-    comps = strongly_connected_components(g)
-    if len(comps) == 1:
+    count, label = _component_labels(g)
+    if count == 1:
         return ChaosVerdict(True, 1)
-    component_of = [0] * g.n_vertices
-    for i, comp in enumerate(comps):
-        for x in comp:
-            component_of[x] = i
-    label = np.array(component_of)
     # column x of the head labels holds the components x's arcs enter
-    leaves = (label[np.array(g.matrix.cells)] != label).any(axis=0)
-    is_sink = np.ones(len(comps), dtype=bool)
+    leaves = (label[g.matrix] != label).any(axis=0)
+    is_sink = np.ones(count, dtype=bool)
     is_sink[label[leaves]] = False
     u = int(np.flatnonzero(is_sink[label])[0])
     v = int(np.flatnonzero(label != label[u])[0])
-    return ChaosVerdict(False, len(comps), (u, v))
+    return ChaosVerdict(False, count, (u, v))
 
 
 def export_dot(g: IterationGraph) -> str:
@@ -162,11 +163,10 @@ def export_dot(g: IterationGraph) -> str:
     label) ascending.
     """
     n = g.n_bits
+    names = [f'"{x:0{n}b}"' for x in range(g.n_vertices)]
     lines = ["digraph iteration_graph {"]
-    for x in range(g.n_vertices):
-        lines.append(f'  "{x:0{n}b}";')
-    for x in range(g.n_vertices):
-        for label in range(1, n + 1):
-            lines.append(f'  "{x:0{n}b}" -> "{g.target(x, label):0{n}b}" [label={label}];')
+    lines += [f"  {name};" for name in names]
+    for name, heads in zip(names, g.matrix.T.tolist()):
+        lines += [f"  {name} -> {names[h]} [label={label}];" for label, h in enumerate(heads, 1)]
     lines.append("}")
     return "\n".join(lines) + "\n"

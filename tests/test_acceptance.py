@@ -67,10 +67,11 @@ def test_02_negation_mapping_table():
     """The 4-bit negation's mapping table matches the published table cell
     for cell."""
     m = func.mapping_matrix(func.negation(4))
-    assert m.cells == NEGATION4_MAPPING_ROWS
-    assert [m.cell(p, 0) for p in (1, 2, 3, 4)] == [8, 4, 2, 1]
-    assert [m.cell(p, 15) for p in (1, 2, 3, 4)] == [7, 11, 13, 14]
-    assert m.cells[3][:8] == (1, 0, 3, 2, 5, 4, 7, 6)
+    assert m.shape == (4, 16)
+    assert m.tolist() == [list(row) for row in NEGATION4_MAPPING_ROWS]
+    assert [m[p - 1, 0] for p in (1, 2, 3, 4)] == [8, 4, 2, 1]
+    assert [m[p - 1, 15] for p in (1, 2, 3, 4)] == [7, 11, 13, 14]
+    assert m[3, :8].tolist() == [1, 0, 3, 2, 5, 4, 7, 6]
     report("ACCEPTANCE 2 negation mapping table: PASS")
 
 

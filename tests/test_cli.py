@@ -149,6 +149,16 @@ class TestVerify:
             "scc-count": "1",
         }
 
+    def test_porcelain_at_thirteen_bits(self, tmp_path, capsys):
+        # verify reads every width the generator accepts
+        path = tmp_path / "neg13.fn"
+        func.write_function(func.negation(13), path)
+        rc = cli.main(["verify", str(path), "--porcelain"])
+        assert rc == 0
+        lines = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert lines["chaotic"] == "yes"
+        assert lines["scc-count"] == "1"
+
 
 class TestSearch:
     def test_zero_mutations(self, capsys):

@@ -81,18 +81,18 @@ class TestNegation:
 class TestMappingMatrix:
     def test_negation_first_column(self):
         m = func.mapping_matrix(func.negation(4))
-        assert [m.cell(p, 0) for p in (1, 2, 3, 4)] == [8, 4, 2, 1]
+        assert m[:, 0].tolist() == [8, 4, 2, 1]
 
     def test_negation_last_column(self):
         m = func.mapping_matrix(func.negation(4))
-        assert [m.cell(p, 15) for p in (1, 2, 3, 4)] == [7, 11, 13, 14]
+        assert m[:, 15].tolist() == [7, 11, 13, 14]
 
     def test_identity_all_cells_fixed(self):
         f = func.identity(3)
         m = func.mapping_matrix(f)
         for p in range(1, 4):
             for q in range(8):
-                assert m.cell(p, q) == q
+                assert m[p - 1, q] == q
 
     @given(st.integers(2, 5), st.randoms(use_true_random=False))
     def test_single_coordinate_update_only(self, n_bits, rnd):
@@ -100,14 +100,17 @@ class TestMappingMatrix:
         images = tuple(rnd.randrange(size) for _ in range(size))
         f = func.VectorOfImages(n_bits, images)
         m = func.mapping_matrix(f)
+        assert m.shape == (n_bits, size)
+        assert m.dtype == np.int32
         for p in range(1, n_bits + 1):
             w = 1 << (n_bits - p)
-            for q in range(size):
-                assert m.cell(p, q) ^ q in (0, w)
-                assert m.cell(p, q) == oracles.interpret_updates(images, n_bits, q, [p])[0]
-        table = func.update_table(f)
-        assert table.shape == (n_bits, size)
-        assert table.tolist() == [list(row) for row in m.cells]
+            for q, cell in enumerate(m[p - 1].tolist()):
+                assert cell ^ q in (0, w)
+                assert cell == oracles.interpret_updates(images, n_bits, q, [p])[0]
+        # each call returns a fresh, writable array
+        again = func.mapping_matrix(f)
+        assert again is not m and again.flags.writeable
+        assert np.array_equal(again, m)
 
 
 class TestIsBalanced:
@@ -334,9 +337,11 @@ class TestSearchFunctions:
         assert found.issuperset(KNOWN_CHAOTIC_VARIANTS)
         assert func.negation(4).images in found
 
-    def test_rejects_width_beyond_graph_limit(self):
+    def test_rejects_width_beyond_table_limit(self):
+        # the search shares the table limit: N=13 starts, N=17 is refused
+        assert next(func.search_functions(13, 1)) == func.negation(13)
         with pytest.raises(ResourceLimitError):
-            list(func.search_functions(13, 1))
+            list(func.search_functions(func.MAX_TABLE_BITS + 1, 1))
 
 
 class TestFunctionFiles:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ciprng
@@ -45,11 +46,15 @@ class TestBuildGraph:
         m = func.mapping_matrix(f)
         for x in range(16):
             for label in range(1, 5):
-                assert g.target(x, label) == m.cell(label, x)
+                assert g.target(x, label) == m[label - 1, x]
+        assert np.array_equal(g.matrix, m)
+        assert not g.matrix.flags.writeable
 
     def test_size_limit(self):
+        # graphs share the table limit: N=13 builds, N=17 is refused
+        assert graph.build_graph(func.negation(13)).n_vertices == 1 << 13
         with pytest.raises(ResourceLimitError):
-            graph.build_graph(func.negation(13))
+            list(func.search_functions(func.MAX_TABLE_BITS + 1, 1))
 
 
 class TestStrongConnectivity:
@@ -131,6 +136,27 @@ def has_complete_direction(f):
     mask = (1 << f.n_bits) - 1
     weights = Counter(y ^ q ^ mask for q, y in enumerate(f.images))
     return any(weights[1 << b] == 1 << f.n_bits for b in range(f.n_bits))
+
+
+def gray_path(n_bits, cut=False):
+    """The balanced function whose iteration graph, loops aside, is the
+    Gray-code Hamiltonian path 0 = g_0 - g_1 - ... - g_(2^N - 1) of the
+    N-cube, with g_j = j XOR (j >> 1); with `cut`, less its middle edge.
+
+    Every arc of the path runs both ways, so each row of the mapping
+    matrix is a permutation, and a sweep from vertex 0 meets one new
+    vertex per level: 2^N - 1 levels.
+    """
+    size = 1 << n_bits
+    order = [j ^ (j >> 1) for j in range(size)]
+    flips = [0] * size
+    for j in range(size - 1):
+        if cut and j == size // 2 - 1:
+            continue
+        a, b = order[j], order[j + 1]
+        flips[a] ^= a ^ b
+        flips[b] ^= a ^ b
+    return func.VectorOfImages(n_bits, tuple(q ^ flips[q] for q in range(size))), order
 
 
 def apply_matching(n_bits, edges):
@@ -216,16 +242,31 @@ class TestReachabilityShortcut:
             outcomes[complete] += 1
         assert outcomes[True] and outcomes[False]
 
+    @pytest.mark.parametrize("n_bits", range(2, 9))
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_gray_code_path_needs_the_deepest_sweep(self, n_bits, cut):
+        f, order = gray_path(n_bits, cut)
+        g = graph.build_graph(f)
+        path = set(zip(order, order[1:]))
+        if cut:
+            path.discard((order[len(order) // 2 - 1], order[len(order) // 2]))
+        arcs = {(x, t) for x in range(g.n_vertices) for t in g.out_arcs(x) if t != x}
+        assert arcs == path | {(b, a) for a, b in path}
+        assert func.is_balanced(f).balanced
+        verdict = assert_verdict_matches_oracle(g)
+        assert verdict.strongly_connected != cut
+        assert verdict.scc_count == (2 if cut else 1)
+
     @pytest.fixture
     def tarjan_calls(self, monkeypatch):
         calls = []
-        scc = graph.strongly_connected_components
+        labels = graph._component_labels
 
         def counting(g):
             calls.append(g)
-            return scc(g)
+            return labels(g)
 
-        monkeypatch.setattr(graph, "strongly_connected_components", counting)
+        monkeypatch.setattr(graph, "_component_labels", counting)
         return calls
 
     def test_chaotic_functions_skip_tarjan(self, tarjan_calls):
@@ -241,11 +282,14 @@ class TestReachabilityShortcut:
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # `strongly_connected_components` imports scipy.sparse when called, so
-    # that `import ciprng` does not pay for it; a chaos search needs no graph
+    # scipy's strong components import scipy.sparse when first needed, so
+    # that `import ciprng` does not pay for it; a chaos search needs no
+    # graph, and the sweep settles chaotic balanced graphs without scipy
     src = str(Path(ciprng.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for work in ["", "list(ciprng.search_functions(2, 4, require_chaos=True)); "]:
+    chaotic = f"(ciprng.negation(4), ciprng.VectorOfImages(4, {KNOWN_CHAOTIC_VARIANTS[5]}))"
+    verify = f"assert all(ciprng.is_strongly_connected(ciprng.build_graph(f)) for f in {chaotic}); "
+    for work in ["", "list(ciprng.search_functions(2, 4, require_chaos=True)); ", verify]:
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys, ciprng; {work}print('scipy.sparse' in sys.modules)"],
             capture_output=True,
