@@ -238,7 +238,19 @@ def mutate_pair(f: VectorOfImages, j: int, i: int) -> VectorOfImages:
         )
     imgs = list(f.images)
     imgs[q], imgs[partner] = b, a
-    return VectorOfImages(n, tuple(imgs))
+    return _unchecked(n, tuple(imgs))  # a swap keeps f's images valid
+
+
+def _unchecked(n_bits: int, images: tuple[int, ...]) -> VectorOfImages:
+    """A VectorOfImages from a tuple of ints already known to be valid.
+
+    Skips the conversion and range check of `VectorOfImages.__post_init__`,
+    which cost milliseconds at N=16.
+    """
+    f = object.__new__(VectorOfImages)
+    object.__setattr__(f, "n_bits", n_bits)
+    object.__setattr__(f, "images", images)
+    return f
 
 
 def search_functions(
@@ -338,6 +350,13 @@ def parse_function(text: str) -> VectorOfImages:
             raise FunctionFormatError("unexpected trailing content", extra + 1, 1)
 
     size = 1 << n_bits
+    # one pass over well-formed input; the per-token loop below finds the
+    # first error, and accepts the non-ASCII digits that \d matches
+    fields = lines[1].split()
+    if len(fields) == size and all(t.isascii() and t.isdigit() for t in fields):
+        images = tuple(map(int, fields))
+        if max(images) < size:
+            return _unchecked(n_bits, images)
     tokens = list(re.finditer(r"\S+", lines[1]))
     if len(tokens) != size:
         column = tokens[size].start() + 1 if len(tokens) > size else len(lines[1]) + 1

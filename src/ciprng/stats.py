@@ -9,6 +9,20 @@ the remaining tests.
 
 Each test returns a p-value in [0, 1]; a stream passes a test when its
 p-value is at least the significance level (0.01 by default).
+
+`run_battery` shares the work of its two costliest steps:
+
+* serial and approximate entropy both read counts of the overlapping
+  windows of the stream.  The battery counts once, at the wider of the
+  two widths the tests need, and merges those counts down to each
+  narrower width (`_marginal`); the counts are integers, so each test
+  sees the counts it would have made itself.
+* cumulative sums reads the largest partial-sum excursion forward and
+  backward.  The backward partial sums are the total minus the forward
+  ones, so a single forward scan gives both excursions.
+
+The standalone tests call the same helpers, so a p-value from
+`run_battery` equals, bit for bit, the one its test gives alone.
 """
 
 from __future__ import annotations
@@ -120,15 +134,28 @@ def _max_run_of_ones(block: np.ndarray) -> int:
 def cumulative_sums(bits) -> tuple[float, float]:
     """Maximal partial-sum excursion, scanned forward and backward."""
     arr = _require(bits, "cumulative-sums", 100)
-    steps = arr.astype(np.int64) * 2 - 1
-    forward = _cusum_p(steps)
-    backward = _cusum_p(steps[::-1])
-    return forward, backward
+    z_fwd, z_bwd = _cusum_excursions(arr)
+    return _cusum_p(arr.size, z_fwd), _cusum_p(arr.size, z_bwd)
 
 
-def _cusum_p(steps: np.ndarray) -> float:
-    n = steps.size
-    z = int(np.abs(np.cumsum(steps)).max())  # >= 1: the first partial sum is +-1
+def _cusum_excursions(arr: np.ndarray) -> tuple[int, int]:
+    """Largest |partial sum| of the +-1 steps, read forward and backward.
+
+    One scan gives the forward partial sums S_1..S_n.  Read backward,
+    the partial sums are S_n - S_i for i = 0..n-1, with S_0 = 0, so their
+    largest magnitude follows from the range of S_1..S_n widened to 0.
+    """
+    steps = arr.astype(np.int8)
+    steps <<= 1
+    steps -= 1
+    # |S_k| <= n, so int32 holds every partial sum of a stream under 2^31 bits
+    sums = np.cumsum(steps, dtype=np.int32 if arr.size < 1 << 31 else np.int64)
+    hi, lo, total = int(sums.max()), int(sums.min()), int(sums[-1])
+    return max(hi, -lo), max(total - min(lo, 0), max(hi, 0) - total)
+
+
+def _cusum_p(n: int, z: int) -> float:
+    """p-value of a largest excursion z >= 1 over n steps."""
     sqrt_n = np.sqrt(n)
     nz = n // z
 
@@ -151,11 +178,19 @@ def _c_div(a: int, b: int) -> int:
 
 def serial(bits, block: int = 10) -> tuple[float, float]:
     """Uniformity of overlapping block-bit patterns (two difference stats)."""
+    arr = _serial_input(bits, block)
+    return _serial_p(_pattern_counts(arr, block), arr.size)
+
+
+def _serial_input(bits, block: int) -> np.ndarray:
     if block < 2:
         raise ValueError(f"block must be >= 2, got {block}")
-    arr = _require(bits, "serial", 1 << (block + 3))
-    n = arr.size
-    counts = _pattern_counts(arr, block)
+    return _require(bits, "serial", 1 << (block + 3))
+
+
+def _serial_p(counts: np.ndarray, n: int) -> tuple[float, float]:
+    """Serial p-values from the counts of the n overlapping block-bit windows."""
+    block = counts.size.bit_length() - 1
     psi_m = _psi_sq(counts, n)
     counts = _marginal(counts)
     psi_m1 = _psi_sq(counts, n)
@@ -169,11 +204,19 @@ def serial(bits, block: int = 10) -> tuple[float, float]:
 
 def approximate_entropy(bits, block: int = 10) -> float:
     """Entropy gap between block- and (block+1)-bit pattern frequencies."""
+    arr = _apen_input(bits, block)
+    return _apen_p(_pattern_counts(arr, block + 1), arr.size)
+
+
+def _apen_input(bits, block: int) -> np.ndarray:
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    arr = _require(bits, "approximate-entropy", 1 << (block + 6))
-    n = arr.size
-    counts_up = _pattern_counts(arr, block + 1)
+    return _require(bits, "approximate-entropy", 1 << (block + 6))
+
+
+def _apen_p(counts_up: np.ndarray, n: int) -> float:
+    """Approximate-entropy p-value from the counts of the n (block+1)-bit windows."""
+    block = counts_up.size.bit_length() - 2
     phi_up = _phi(counts_up, n)
     phi_lo = _phi(_marginal(counts_up), n)
     apen = phi_lo - phi_up
@@ -182,18 +225,23 @@ def approximate_entropy(bits, block: int = 10) -> float:
 
 
 def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n overlapping m-bit windows of the circular stream."""
+    """Counts of the n overlapping m-bit windows of the circular stream.
+
+    The windows are built in place in a uint16 accumulator when m <= 16,
+    a quarter of the traffic of int64, which holds the wider ones.
+    """
     n = arr.size
     ext = np.concatenate([arr, arr[: m - 1]]) if m > 1 else arr
-    vals = np.zeros(n, dtype=np.int64)
-    for t in range(m):
-        vals = (vals << 1) | ext[t : t + n]
+    vals = ext[:n].astype(np.uint16 if m <= 16 else np.int64)
+    for t in range(1, m):
+        vals <<= 1
+        vals |= ext[t : t + n]
     return np.bincount(vals, minlength=1 << m)
 
 
-def _marginal(counts: np.ndarray) -> np.ndarray:
-    """Window counts one bit shorter: merge the two extensions of each prefix."""
-    return counts.reshape(-1, 2).sum(axis=1)
+def _marginal(counts: np.ndarray, drop: int = 1) -> np.ndarray:
+    """Window counts `drop` bits shorter: merge the extensions of each prefix."""
+    return counts.reshape(-1, 1 << drop).sum(axis=1)
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
@@ -315,16 +363,26 @@ def run_battery(bits, config: Optional[BatteryConfig] = None) -> TestReport:
         mean = float(np.mean([p for _, p in parts]))
         return TestResult(name, mean, mean >= alpha, subs)
 
+    # inputs are checked in the order cumulative sums, serial, the four
+    # tests below, approximate entropy: a stream or block refused by
+    # several tests raises the error of the first of them
     fwd, bwd = cumulative_sums(arr)
-    p1, p2 = serial(arr, block=cfg.serial_block)
+    _serial_input(arr, cfg.serial_block)
     results = (
         single("frequency", frequency_monobit(arr)),
         single("block-frequency", block_frequency(arr, block_size=cfg.block_size)),
         grouped("cumulative-sums", [("forward", fwd), ("backward", bwd)]),
         single("runs", runs(arr)),
         single("longest-run", longest_run_of_ones(arr)),
+    )
+    _apen_input(arr, cfg.apen_block)
+    width = max(cfg.serial_block, cfg.apen_block + 1)
+    counts = _pattern_counts(arr, width)  # one count serves both window tests
+    p1, p2 = _serial_p(_marginal(counts, width - cfg.serial_block), arr.size)
+    apen = _apen_p(_marginal(counts, width - cfg.apen_block - 1), arr.size)
+    results += (
         grouped("serial", [("delta1", p1), ("delta2", p2)]),
-        single("approximate-entropy", approximate_entropy(arr, block=cfg.apen_block)),
+        single("approximate-entropy", apen),
     )
     return TestReport(arr.size, alpha, results)
 

@@ -92,3 +92,31 @@ def count_max_run_le(n, v):
     for _ in range(n):
         dp = [sum(dp)] + dp[:v]
     return sum(dp)
+
+
+def window_counts(bits, m):
+    """Counts of the n overlapping m-bit windows of the circular bit list,
+    window by window and bit by bit, indexed by the window's value."""
+    n = len(bits)
+    counts = [0] * (1 << m)
+    for start in range(n):
+        value = 0
+        for t in range(m):
+            value = 2 * value + bits[(start + t) % n]
+        counts[value] += 1
+    return counts
+
+
+def cusum_excursions(bits):
+    """Largest |partial sum| of the +-1 steps, summed forward and then over
+    the reversed steps."""
+
+    def peak(steps):
+        total = best = 0
+        for s in steps:
+            total += s
+            best = max(best, abs(total))
+        return best
+
+    steps = [2 * b - 1 for b in bits]
+    return peak(steps), peak(steps[::-1])

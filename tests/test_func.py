@@ -233,6 +233,12 @@ class TestMutatePair:
         with pytest.raises(ValueError):
             func.mutate_pair(func.negation(4), 1, 5)
 
+    def test_result_equals_a_validated_vector(self):
+        f = func.mutate_pair(func.mutate_pair(func.negation(4), 1, 1), 5, 2)
+        checked = func.VectorOfImages(f.n_bits, f.images)
+        assert f == checked and hash(f) == hash(checked)
+        assert type(f.images) is tuple and all(type(v) is int for v in f.images)
+
     @given(st.data())
     def test_balance_preserved_along_random_edit_sequences(self, data):
         n_bits = data.draw(st.integers(2, 4))
@@ -392,3 +398,31 @@ class TestFunctionFiles:
         with pytest.raises(FunctionFormatError) as exc:
             func.parse_function("2\n0 1 2 3\njunk\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n\u0663 2 1 0\n",  # an Arabic-Indic three: \d matches Unicode digits
+            "2\n3\x1f2 1 0\n",  # \x1f and the no-break space are whitespace
+            "2\n3\xa02 1 0\n",  # to str.split() and to \S+ alike
+            "2\n 3\t2  1 0 \n",
+        ],
+    )
+    def test_separators_and_unicode_digits(self, text):
+        assert func.parse_function(text).images == (3, 2, 1, 0)
+
+    @pytest.mark.parametrize(
+        "text,column,message",
+        [
+            ("2\n\u0663 2 1 4\n", 7, "image 4 outside [0, 3]"),
+            ("2\n3\xa02 \u0664 0\n", 5, "image 4 outside [0, 3]"),
+            ("2\n3\x1f2 1 -0\n", 7, "image must be a decimal integer, got '-0'"),
+            ("2\n3 \u00b2 1 0\n", 3, "image must be a decimal integer, got '\u00b2'"),
+            ("2\n3\xa02 1\n", 6, "expected 4 images, got 3"),
+        ],
+    )
+    def test_errors_past_the_one_pass_check(self, text, column, message):
+        with pytest.raises(FunctionFormatError) as exc:
+            func.parse_function(text)
+        assert (exc.value.line, exc.value.column) == (2, column)
+        assert str(exc.value) == f"line 2, column {column}: {message}"

@@ -23,7 +23,7 @@ from ciprng.errors import StreamTooShortError
 from ciprng.generator import CiGenerator, GeneratorConfig
 from ciprng.sources import Xorshift64
 
-from oracles import count_max_run_le
+from oracles import count_max_run_le, cusum_excursions, window_counts
 from reference_data import KNOWN_CHAOTIC_VARIANTS
 
 
@@ -77,8 +77,9 @@ class TestPublishedExamples:
 
     def test_cumulative_sums_ten_bits(self):
         arr = stats.bitops.as_bit_array("1011010111")
-        steps = arr.astype(np.int64) * 2 - 1
-        assert stats._cusum_p(steps) == pytest.approx(0.4116588, abs=1e-6)  # published example
+        z, _ = stats._cusum_excursions(arr)
+        assert z == 4  # published example: the partial sums end 1, 2, 3, 4
+        assert stats._cusum_p(arr.size, z) == pytest.approx(0.4116588, abs=1e-6)  # published example
 
     def test_block_frequency_ten_bits(self):
         arr = stats.bitops.as_bit_array("0110011010")
@@ -158,6 +159,71 @@ class TestProperties:
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2, 100_000, dtype=np.uint8)
         assert stats.run_battery(bits) == stats.run_battery(bits)
+
+
+class TestSharedWork:
+    """The battery counts windows once and scans partial sums once."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_pattern_counts_match_window_oracle(self, m):
+        rng = np.random.default_rng(m)
+        streams = [rng.integers(0, 2, rng.integers(m, 301), dtype=np.uint8) for _ in range(5)]
+        streams += [np.ones(m + 37, dtype=np.uint8), np.zeros(m + 37, dtype=np.uint8)]
+        for arr in streams:
+            assert stats._pattern_counts(arr, m).tolist() == window_counts(arr.tolist(), m)
+
+    @pytest.mark.parametrize(
+        "bits",
+        ["1" * 300, "0" * 300, "01" * 150, "10" * 150, "1" * 150 + "0" * 151, "1011010111"],
+    )
+    def test_cusum_excursions_match_reversed_oracle(self, bits):
+        arr = stats.bitops.as_bit_array(bits)
+        assert stats._cusum_excursions(arr) == cusum_excursions(arr.tolist())
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
+    def test_cusum_excursions_on_random_streams(self, bits):
+        arr = np.array(bits, dtype=np.uint8)
+        assert stats._cusum_excursions(arr) == cusum_excursions(bits)
+
+    @pytest.mark.parametrize("serial_block,apen_block", [(10, 10), (2, 10), (12, 4), (4, 3)])
+    @pytest.mark.parametrize("n", [65536, 100003, 10**6])
+    def test_battery_equals_standalone_tests(self, n, serial_block, apen_block):
+        bits = np.random.default_rng(n + serial_block).integers(0, 2, n, dtype=np.uint8)
+        cfg = stats.BatteryConfig(serial_block=serial_block, apen_block=apen_block)
+        got = {r.name: [r.p_value, *(s.p_value for s in r.sub_results)] for r in stats.run_battery(bits, cfg).results}
+        p1, p2 = stats.serial(bits, serial_block)
+        fwd, bwd = stats.cumulative_sums(bits)
+        # exact equality: the battery shares work, not results of another formula
+        assert got["serial"][1:] == [p1, p2]
+        assert got["cumulative-sums"][1:] == [fwd, bwd]
+        assert got["approximate-entropy"] == [stats.approximate_entropy(bits, apen_block)]
+
+    @pytest.mark.parametrize(
+        "n,config,error",
+        [
+            (99, {}, (StreamTooShortError, "cumulative-sums", 100)),
+            (100, {}, (StreamTooShortError, "serial", 1 << 13)),
+            (5000, {}, (StreamTooShortError, "serial", 1 << 13)),
+            (10000, {}, (StreamTooShortError, "approximate-entropy", 1 << 16)),
+            (100, {"serial_block": 2}, (StreamTooShortError, "block-frequency", 128)),
+            (100, {"serial_block": 2, "block_size": 10}, (StreamTooShortError, "longest-run", 128)),
+            (10000, {"serial_block": 1}, (ValueError, "block must be >= 2, got 1", None)),
+            (99, {"serial_block": 1}, (StreamTooShortError, "cumulative-sums", 100)),
+            (10000, {"block_size": 1}, (ValueError, "block_size must be >= 2, got 1", None)),
+            (10000, {"block_size": 20000}, (StreamTooShortError, "block-frequency", 20000)),
+            (10000, {"apen_block": 0}, (ValueError, "block must be >= 1, got 0", None)),
+        ],
+    )
+    def test_battery_raises_the_first_failing_tests_error(self, n, config, error):
+        bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        kind, name, minimum = error
+        with pytest.raises(kind) as exc:
+            stats.run_battery(bits, stats.BatteryConfig(**config))
+        assert type(exc.value) is kind
+        if minimum is None:
+            assert str(exc.value) == name
+        else:
+            assert (exc.value.test, exc.value.minimum, exc.value.actual) == (name, minimum, n)
 
 
 class TestSpecialFunctionAccuracy:
