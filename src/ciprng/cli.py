@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import func, graph, stats
-from .errors import CiprngError, FunctionFormatError
+from .errors import CiprngError
 from .generator import CiGenerator, GeneratorConfig
 from .sources import (
     DEFAULT_BIT_SEED,
@@ -86,10 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     test = sub.add_parser("test", help="run the statistical battery on a stream file")
     test.add_argument("input")
     test.add_argument("--stream-format", choices=["ascii", "raw"], default="ascii")
-    test.add_argument("--alpha", type=float, default=0.01, help="significance level")
-    test.add_argument("--block-size", type=int, default=128)
-    test.add_argument("--serial-block", type=int, default=10)
-    test.add_argument("--apen-block", type=int, default=10)
+    defaults = stats.BatteryConfig()
+    test.add_argument(
+        "--alpha", type=float, default=defaults.significance, help="significance level"
+    )
+    test.add_argument("--block-size", type=int, default=defaults.block_size)
+    test.add_argument("--serial-block", type=int, default=defaults.serial_block)
+    test.add_argument("--apen-block", type=int, default=defaults.apen_block)
     test.add_argument("--porcelain", action="store_true", help="name<TAB>p<TAB>PASS|FAIL lines")
 
     return parser
@@ -220,9 +223,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FunctionFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (CiprngError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

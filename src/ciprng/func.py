@@ -375,7 +375,7 @@ def parse_function(text: str) -> VectorOfImages:
                 f"image {v} outside [0, {size - 1}]", 2, tok.start() + 1
             )
         images.append(v)
-    return VectorOfImages(n_bits, tuple(images))
+    return _unchecked(n_bits, tuple(images))
 
 
 def read_function(path: str | Path) -> VectorOfImages:

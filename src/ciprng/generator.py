@@ -154,7 +154,10 @@ class CiGenerator:
         """Update counts of the next n_rounds rounds and all their coordinates.
 
         None, with both sources as they were, if a draw fails or a
-        source cannot save its position.
+        source cannot save its position.  A failed array draw may leave
+        a source part way, where its single draws stopped; the rewind
+        here is what keeps that failure invisible, so the round loop
+        replays the block from the start and raises where it should.
         """
         try:
             saved = self.prng1.getstate(), self.prng2.getstate()

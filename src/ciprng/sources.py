@@ -4,7 +4,8 @@ Two kinds: a 64-bit xorshift used in production, and a scripted replay
 source that plays back a fixed list of values for reproducing known
 traces in tests.  Both give single draws and arrays of draws; an array
 draw of n values equals n single draws, and leaves the source where
-they would.
+they would, also when it fails part way.  A scripted array draw is the
+interface default, a replay of single draws.
 
 The xorshift step is linear over GF(2), so its array draws are matrix
 products: words by jump-ahead over byte-sliced tables of the step's
@@ -42,7 +43,10 @@ class EntropySource:
     """Source interface: a bit stream and a coordinate stream.
 
     A source must give next_bit and next_coordinate.  The array draws
-    default to repeated single draws.  getstate/setstate are optional:
+    default to repeated single draws, so a failing one raises where the
+    single draws would, leaving the values before it drawn.  A source
+    may override them only with draws that give the same values and
+    end in the same place.  getstate/setstate are optional:
     without them CiGenerator.states runs the round loop, since it can
     only draw a block in bulk from a source it can rewind.
     """
@@ -245,9 +249,10 @@ class ScriptedSource(EntropySource):
     """Replays a fixed sequence of integers.
 
     Raises ScriptExhaustedError when the script runs out, unless `cycle`
-    was set, in which case it wraps around.  An array draw is all or
-    nothing: one that would run out, or would meet a value out of range,
-    raises before it moves the cursor.
+    was set, in which case it wraps around; ValueError at a value out of
+    range, with the cursor past it.  The array draws are the interface
+    defaults, replays of single draws, so `_next` holds the one cursor
+    rule and the single draws the one range check.
     """
 
     def __init__(self, values: Sequence[int], cycle: bool = False):
@@ -279,36 +284,6 @@ class ScriptedSource(EntropySource):
         if not 1 <= v <= n_bits:
             raise ValueError(f"scripted coordinate {v} outside [1, {n_bits}]")
         return v
-
-    def _take(self, count: int, low: int, high: int, name: str) -> np.ndarray:
-        """The next `count` values, each checked to lie in [low, high].
-
-        All or nothing: a draw that runs out or meets a value out of
-        range raises and leaves the cursor where it was.
-        """
-        size = len(self.values)
-        end = self.cursor + count
-        if end <= size:
-            chunk = self.values[self.cursor : end]
-        elif self.cycle and size:
-            chunk = [self.values[i % size] for i in range(self.cursor, end)]
-        else:
-            raise ScriptExhaustedError(f"script exhausted after {size} values")
-        for v in chunk:
-            if not low <= v <= high:
-                raise ValueError(f"scripted {name} {v} outside [{low}, {high}]")
-        if count:
-            # as in _next: a wrapped cursor rests at the end, never at 0
-            self.cursor = (end - 1) % size + 1
-        return np.array(chunk, dtype=np.int64)
-
-    def bits(self, count: int) -> np.ndarray:
-        return self._take(count, 0, 1, "bit").astype(np.uint8)
-
-    def coordinates(self, count: int, n_bits: int) -> np.ndarray:
-        if n_bits < 2:
-            raise ValueError(f"n_bits must be >= 2, got {n_bits}")
-        return self._take(count, 1, n_bits, "coordinate")
 
     def getstate(self) -> int:
         return self.cursor

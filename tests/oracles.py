@@ -7,6 +7,8 @@ code with the implementations they check.
 
 from __future__ import annotations
 
+import mpmath
+
 
 def interpret_updates(images, n_bits, x0, strategy):
     """Definitional single-cell iteration over an explicit bit vector.
@@ -120,3 +122,10 @@ def cusum_excursions(bits):
 
     steps = [2 * b - 1 for b in bits]
     return peak(steps), peak(steps[::-1])
+
+
+def expansion_bits(constant, count):
+    """The first `count` bits of the binary expansion of an mpmath constant, as '0'/'1' text."""
+    mpmath.mp.prec = count + 64
+    _, mantissa, _, _ = mpmath.mpf(constant)._mpf_
+    return bin(mantissa)[2:][:count]

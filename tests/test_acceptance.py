@@ -20,7 +20,7 @@ from ciprng import bitops, func, graph, stats
 from ciprng.generator import CiGenerator, GeneratorConfig
 from ciprng.sources import ScriptedSource, Xorshift64
 
-from oracles import bfs_sccs, interpret_updates
+from oracles import bfs_sccs, expansion_bits, interpret_updates
 from reference_data import (
     KNOWN_CHAOTIC_VARIANTS,
     NEGATION4_MAPPING_ROWS,
@@ -210,9 +210,7 @@ def test_08_battery_matches_official_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
 
     count = golden["stream"]["length"]
-    mpmath.mp.prec = count + 64
-    _, mantissa, _, _ = mpmath.mpf(mpmath.e)._mpf_
-    bits = bin(mantissa)[2:][:count]
+    bits = expansion_bits(mpmath.e, count)
     assert bits.startswith(golden["stream"]["prefix"])
     assert hashlib.sha256(bits.encode()).hexdigest() == golden["stream"]["sha256_ascii"]
 

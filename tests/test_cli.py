@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ciprng
-from ciprng import cli, func
+from ciprng import cli, func, stats
 from ciprng.generator import CiGenerator, GeneratorConfig
 from ciprng.sources import Xorshift64
 
@@ -245,6 +245,20 @@ class TestTest:
         assert rc in (0, 1)  # exit reflects the stricter threshold
         out = capsys.readouterr().out
         assert "significance: 0.5" in out
+
+    def test_no_flags_runs_the_default_config(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        run_battery = stats.run_battery
+
+        def spy(bits, config):
+            seen.append(config)
+            return run_battery(bits, config)
+
+        monkeypatch.setattr(stats, "run_battery", spy)
+        path = tmp_path / "s.txt"
+        path.write_text("".join(map(str, np.random.default_rng(5).integers(0, 2, 100_000))) + "\n")
+        assert cli.main(["test", str(path)]) in (0, 1)
+        assert seen == [stats.BatteryConfig()]
 
     def test_missing_file_exits_2(self, capsys):
         rc = cli.main(["test", "/nonexistent/stream.txt"])

@@ -267,23 +267,35 @@ class TestScriptedArrays:
             ]
             assert bulk.cursor == single.cursor
 
-    def test_exhaustion_is_all_or_nothing(self):
+    def test_exhaustion_stops_where_single_draws_stop(self):
         s = sources.ScriptedSource([0, 1, 1])
         assert list(s.bits(2)) == [0, 1]
         with pytest.raises(ScriptExhaustedError):
             s.bits(2)
-        assert s.cursor == 2
-        assert list(s.bits(1)) == [1]
+        assert s.cursor == 3
+        with pytest.raises(ScriptExhaustedError):
+            s.bits(1)
 
-    def test_out_of_range_values_raise_without_consuming(self):
+    def test_out_of_range_values_raise_where_single_draws_stop(self):
         s = sources.ScriptedSource([1, 2, 5, 1])
         with pytest.raises(ValueError, match="5"):
             s.coordinates(4, 4)
-        assert s.cursor == 0
+        assert s.cursor == 3
         with pytest.raises(ValueError):
             sources.ScriptedSource([0, 2]).bits(2)
         with pytest.raises(ValueError):
             sources.ScriptedSource([1 << 70]).coordinates(1, 4)
+
+    def test_bad_bit_message_is_the_single_draws(self):
+        with pytest.raises(ValueError) as single:
+            sources.ScriptedSource([2]).next_bit()
+        with pytest.raises(ValueError) as bulk:
+            sources.ScriptedSource([0, 2]).bits(2)
+        assert str(bulk.value) == str(single.value)
+
+    def test_array_draws_are_the_interface_defaults(self):
+        assert sources.ScriptedSource.bits is sources.EntropySource.bits
+        assert sources.ScriptedSource.coordinates is sources.EntropySource.coordinates
 
     def test_empty_cycling_script_is_exhausted(self):
         with pytest.raises(ScriptExhaustedError):

@@ -23,14 +23,8 @@ from ciprng.errors import StreamTooShortError
 from ciprng.generator import CiGenerator, GeneratorConfig
 from ciprng.sources import Xorshift64
 
-from oracles import count_max_run_le, cusum_excursions, window_counts
+from oracles import count_max_run_le, cusum_excursions, expansion_bits, window_counts
 from reference_data import KNOWN_CHAOTIC_VARIANTS
-
-
-def pi_bits(count):
-    mpmath.mp.prec = count + 64
-    _, man, _, _ = mpmath.mpf(mpmath.pi)._mpf_
-    return bin(man)[2:][:count]
 
 
 class TestPublishedExamples:
@@ -38,7 +32,8 @@ class TestPublishedExamples:
 
     def test_monobit_100_bits_of_pi(self):
         # published example: first 100 bits of pi's binary expansion
-        assert stats.frequency_monobit(pi_bits(100)) == pytest.approx(0.109599, abs=5e-7)
+        p = stats.frequency_monobit(expansion_bits(mpmath.pi, 100))
+        assert p == pytest.approx(0.109599, abs=5e-7)
 
     def test_monobit_ten_bits(self):
         arr = stats.bitops.as_bit_array("1011010101")
