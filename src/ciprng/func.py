@@ -106,23 +106,23 @@ class BalanceVerdict:
 
 def negation(n_bits: int) -> VectorOfImages:
     """The map complementing every coordinate: images[q] = 2^N - 1 - q."""
-    _check_width(n_bits, MAX_TABLE_BITS)
+    _check_width(n_bits)
     mask = (1 << n_bits) - 1
     return VectorOfImages(n_bits, tuple(mask ^ q for q in range(1 << n_bits)))
 
 
 def identity(n_bits: int) -> VectorOfImages:
     """The map leaving every state fixed: images[q] = q."""
-    _check_width(n_bits, MAX_TABLE_BITS)
+    _check_width(n_bits)
     return VectorOfImages(n_bits, tuple(range(1 << n_bits)))
 
 
-def _check_width(n_bits: int, max_bits: int) -> None:
+def _check_width(n_bits: int) -> None:
     if n_bits < 2:
         raise ValueError(f"n_bits must be >= 2, got {n_bits}")
-    if n_bits > max_bits:
+    if n_bits > MAX_TABLE_BITS:
         raise ResourceLimitError(
-            f"n_bits={n_bits} exceeds the exhaustive-table limit of {max_bits}"
+            f"n_bits={n_bits} exceeds the exhaustive-table limit of {MAX_TABLE_BITS}"
         )
 
 
@@ -284,7 +284,7 @@ def search_functions(
 
     `max_mutations=0` yields exactly the negation.
     """
-    _check_width(n_bits, MAX_TABLE_BITS)
+    _check_width(n_bits)
     if max_mutations < 0:
         raise ValueError(f"max_mutations must be >= 0, got {max_mutations}")
     if max_candidates < 1:

@@ -6,13 +6,14 @@ second source and replacing coordinate S of the state with coordinate S
 of f(state).  The state after the m updates is the round output.
 
 `CiGenerator.round` is the definition.  `CiGenerator.states` gives the
-same outputs in bulk: it draws a block's bits and coordinates as arrays,
-then runs the block's updates either through composed update tables
-(narrow N) or a scalar loop (wide N).  The composed tables start from
-f's mapping matrix as `func.mapping_matrix` builds it.  A bulk block
-holds at most _BLOCK_ROUNDS rounds and _BLOCK_UPDATES updates, so its
-arrays stay bounded at any k.  Short blocks, and blocks whose draws
-fail, run round() instead.
+same outputs in bulk when both sources are Xorshift64: it draws a
+block's bits and coordinates as arrays, then runs the block's updates
+either through composed update tables (narrow N) or a scalar loop (wide
+N).  The composed tables start from f's mapping matrix as
+`func.mapping_matrix` builds it.  A bulk block holds at most
+_BLOCK_ROUNDS rounds and _BLOCK_UPDATES updates, so its arrays stay
+bounded at any k.  Short blocks, and every block drawn from other
+sources, run round() instead; a failing source raises there.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from itertools import islice
 import numpy as np
 
 from . import bitops
-from .errors import ScriptExhaustedError
 from .func import VectorOfImages, mapping_matrix
-from .sources import EntropySource
+from .sources import EntropySource, Xorshift64
 
 # Rounds per bulk block, and updates per bulk block: together they bound
 # the working arrays of one states() call, whatever k is.
@@ -83,8 +83,8 @@ class CiGenerator:
     `path_blocks` counts the blocks that states() has run by each path:
     "composed" (composed update tables), "scalar" (the scalar loop over
     bulk draws) and "round" (round() one round at a time: short blocks,
-    blocks whose draws failed, and sources that cannot rewind).  It is
-    for observing which path ran; it changes no output.
+    and every block when a source is not exactly Xorshift64).  It is for
+    observing which path ran; it changes no output.
     """
 
     def __init__(self, config: GeneratorConfig, prng1: EntropySource, prng2: EntropySource):
@@ -95,6 +95,9 @@ class CiGenerator:
         self.prng1 = prng1
         self.prng2 = prng2
         self.rounds_emitted = 0
+        # bulk blocks draw arrays, which only Xorshift64 gives; a subclass
+        # could draw singles that its inherited arrays do not match
+        self._bulk = type(prng1) is Xorshift64 and type(prng2) is Xorshift64
         self._groups = None  # (table, group size), built on first use
         self.path_blocks = {"composed": 0, "scalar": 0, "round": 0}
 
@@ -119,10 +122,8 @@ class CiGenerator:
         Equal to n_rounds calls of round(), and leaves x, rounds_emitted
         and both sources as those calls would.  That holds also when a
         source fails partway (a script runs out or holds a value out of
-        range): the round loop's error is raised, x and rounds_emitted
-        stand at the last round completed before the failing one, and
-        each source has given exactly the draws the round loop took up
-        to the failure.
+        range): only Xorshift64 sources, whose draws cannot fail, run in
+        bulk, so any failure is raised by round() itself.
         """
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
@@ -132,45 +133,23 @@ class CiGenerator:
         size = max(1, min(_BLOCK_ROUNDS, _BLOCK_UPDATES // (self.config.k + 1)))
         for start in range(0, n_rounds, size):
             block = out[start : start + size]
-            draws = self._draw(block.size) if block.size >= _BULK_MIN_ROUNDS else None
-            if draws is None:
-                # short blocks, and blocks whose draws failed: replayed
-                # round by round, a failure surfaces where the loop meets it
+            if not self._bulk or block.size < _BULK_MIN_ROUNDS:
                 self.path_blocks["round"] += 1
                 for i in range(block.size):
                     block[i] = self.round()
                 continue
+            # widen before adding k: a uint8 bit plus k = 255 would wrap
+            updates = self.prng1.bits(block.size).astype(np.int64) + self.config.k
+            coords = self.prng2.coordinates(int(updates.sum()), self.config.f.n_bits)
             if self.config.f.n_bits <= _TABLE_BITS:
                 self.path_blocks["composed"] += 1
-                self._compose_rounds(*draws, block)
+                self._compose_rounds(updates, coords, block)
             else:
                 self.path_blocks["scalar"] += 1
-                self._scalar_rounds(*draws, block)
+                self._scalar_rounds(updates, coords, block)
             self.x = int(block[-1])
             self.rounds_emitted += block.size
         return out
-
-    def _draw(self, n_rounds: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Update counts of the next n_rounds rounds and all their coordinates.
-
-        None, with both sources as they were, if a draw fails or a
-        source cannot save its position.  A failed array draw may leave
-        a source part way, where its single draws stopped; the rewind
-        here is what keeps that failure invisible, so the round loop
-        replays the block from the start and raises where it should.
-        """
-        try:
-            saved = self.prng1.getstate(), self.prng2.getstate()
-        except NotImplementedError:
-            return None
-        try:
-            # widen before adding k: a uint8 bit plus k = 255 would wrap
-            updates = self.prng1.bits(n_rounds).astype(np.int64) + self.config.k
-            return updates, self.prng2.coordinates(int(updates.sum()), self.config.f.n_bits)
-        except (ScriptExhaustedError, ValueError):
-            self.prng1.setstate(saved[0])
-            self.prng2.setstate(saved[1])
-            return None
 
     def _scalar_rounds(self, updates: np.ndarray, coords: np.ndarray, out: np.ndarray) -> None:
         """Run the updates one by one over pre-drawn coordinates.

@@ -2,10 +2,10 @@
 
 Two kinds: a 64-bit xorshift used in production, and a scripted replay
 source that plays back a fixed list of values for reproducing known
-traces in tests.  Both give single draws and arrays of draws; an array
-draw of n values equals n single draws, and leaves the source where
-they would, also when it fails part way.  A scripted array draw is the
-interface default, a replay of single draws.
+traces in tests.  Every source gives single draws, a bit or a
+coordinate at a time.  Xorshift64 also gives arrays of draws, for the
+generator's bulk blocks; an array draw of n values equals n single
+draws and leaves the source where they would.
 
 The xorshift step is linear over GF(2), so its array draws are matrix
 products: words by jump-ahead over byte-sliced tables of the step's
@@ -42,34 +42,15 @@ DEFAULT_COORD_SEED = 0xD1B54A32D192ED03
 class EntropySource:
     """Source interface: a bit stream and a coordinate stream.
 
-    A source must give next_bit and next_coordinate.  The array draws
-    default to repeated single draws, so a failing one raises where the
-    single draws would, leaving the values before it drawn.  A source
-    may override them only with draws that give the same values and
-    end in the same place.  getstate/setstate are optional:
-    without them CiGenerator.states runs the round loop, since it can
-    only draw a block in bulk from a source it can rewind.
+    A source gives next_bit and next_coordinate.  CiGenerator draws from
+    any source through these alone, one round at a time; only a pair of
+    Xorshift64 sources runs its blocks in bulk.
     """
 
     def next_bit(self) -> int:
         raise NotImplementedError
 
     def next_coordinate(self, n_bits: int) -> int:
-        raise NotImplementedError
-
-    def bits(self, count: int) -> np.ndarray:
-        """The next `count` bits as a uint8 array."""
-        return np.array([self.next_bit() for _ in range(count)], dtype=np.uint8)
-
-    def coordinates(self, count: int, n_bits: int) -> np.ndarray:
-        """The next `count` coordinates in [1, n_bits] as an int64 array."""
-        return np.array([self.next_coordinate(n_bits) for _ in range(count)], dtype=np.int64)
-
-    def getstate(self):
-        """An object that setstate() takes to return the source to this point."""
-        raise NotImplementedError
-
-    def setstate(self, state) -> None:
         raise NotImplementedError
 
 
@@ -126,9 +107,11 @@ class Xorshift64(EntropySource):
         return out
 
     def bits(self, count: int) -> np.ndarray:
+        """The next `count` bits as a uint8 array."""
         return self._low_bits(count, 1)
 
     def coordinates(self, count: int, n_bits: int) -> np.ndarray:
+        """The next `count` coordinates in [1, n_bits] as an int64 array."""
         if n_bits < 2:
             raise ValueError(f"n_bits must be >= 2, got {n_bits}")
         planes = n_bits.bit_length() - 1
@@ -160,12 +143,6 @@ class Xorshift64(EntropySource):
         for p in range(1, planes):
             low |= bits[p, :count] << p
         return low
-
-    def getstate(self) -> int:
-        return self.state
-
-    def setstate(self, state: int) -> None:
-        self.state = state
 
 
 def _walk(out: np.ndarray, filled: int, stride: int) -> None:
@@ -250,9 +227,8 @@ class ScriptedSource(EntropySource):
 
     Raises ScriptExhaustedError when the script runs out, unless `cycle`
     was set, in which case it wraps around; ValueError at a value out of
-    range, with the cursor past it.  The array draws are the interface
-    defaults, replays of single draws, so `_next` holds the one cursor
-    rule and the single draws the one range check.
+    range, with the cursor past it.  `_next` holds the one cursor rule
+    and the single draws the one range check.
     """
 
     def __init__(self, values: Sequence[int], cycle: bool = False):
@@ -284,12 +260,6 @@ class ScriptedSource(EntropySource):
         if not 1 <= v <= n_bits:
             raise ValueError(f"scripted coordinate {v} outside [1, {n_bits}]")
         return v
-
-    def getstate(self) -> int:
-        return self.cursor
-
-    def setstate(self, state: int) -> None:
-        self.cursor = state
 
 
 def parse_seed(text: str) -> int:

@@ -108,27 +108,18 @@ def longest_run_of_ones(bits) -> float:
             regime = candidate
     _, m, k, classes, pi = regime
     n_blocks = n // m
-    blocks = arr[: n_blocks * m].reshape(n_blocks, m)
-    counts = np.zeros(k + 1, dtype=np.int64)
-    for block in blocks:
-        run = _max_run_of_ones(block)
-        idx = min(max(run, classes[0]), classes[-1]) - classes[0]
-        counts[idx] += 1
+    # each block between two zero columns, flattened: the steps alternate,
+    # each run starting at one and ending at the next, within its block
+    padded = np.zeros((n_blocks, m + 2), dtype=np.int8)
+    padded[:, 1:-1] = arr[: n_blocks * m].reshape(n_blocks, m)
+    steps = np.flatnonzero(np.diff(padded.ravel()) != 0)
+    starts = steps[::2]
+    longest = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(longest, starts // (m + 2), steps[1::2] - starts)
+    counts = np.bincount(np.clip(longest, classes[0], classes[-1]) - classes[0], minlength=k + 1)
     expected = n_blocks * np.asarray(pi)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     return float(scipy.special.gammaincc(k / 2.0, chi2 / 2.0))
-
-
-def _max_run_of_ones(block: np.ndarray) -> int:
-    padded = np.empty(block.size + 2, dtype=np.int8)
-    padded[0] = padded[-1] = 0
-    padded[1:-1] = block
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == 1)
-    if starts.size == 0:
-        return 0
-    ends = np.flatnonzero(d == -1)
-    return int((ends - starts).max())
 
 
 def cumulative_sums(bits) -> tuple[float, float]:

@@ -96,6 +96,18 @@ def count_max_run_le(n, v):
     return sum(dp)
 
 
+def longest_runs(bits, m):
+    """Longest run of ones in each whole m-bit block of the bit list, bit by bit."""
+    longest = []
+    for start in range(0, len(bits) - m + 1, m):
+        best = run = 0
+        for b in bits[start : start + m]:
+            run = run + 1 if b else 0
+            best = max(best, run)
+        longest.append(best)
+    return longest
+
+
 def window_counts(bits, m):
     """Counts of the n overlapping m-bit windows of the circular bit list,
     window by window and bit by bit, indexed by the window's value."""

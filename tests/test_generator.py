@@ -238,16 +238,7 @@ class TestFastPath:
         def next_coordinate(self, n_bits):
             return self.inner.next_coordinate(n_bits)
 
-    class RewindableSource(MinimalSource):
-        """Single draws plus a saved position, but no array draws of its own."""
-
-        def getstate(self):
-            return self.inner.state
-
-        def setstate(self, state):
-            self.inner.state = state
-
-    @pytest.mark.parametrize("kind", [MinimalSource, RewindableSource])
+    @pytest.mark.parametrize("kind", [MinimalSource])
     def test_states_match_with_any_source(self, kind):
         config = GeneratorConfig(func.negation(4), k=13, seed_state=0)
         bulk = CiGenerator(config, kind(314159), kind(271828))
@@ -447,3 +438,40 @@ class TestPathBlocks:
         with pytest.raises(ScriptExhaustedError):
             bulk.states(300)
         assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 1}
+
+    @pytest.mark.parametrize("scripted", ["prng1", "prng2"])
+    def test_scripted_source_runs_round_blocks_only(self, scripted):
+        config = GeneratorConfig(func.negation(4), k=13, seed_state=0)
+
+        def make():
+            if scripted == "prng1":
+                return CiGenerator(config, ScriptedSource([1, 0, 0, 1, 1], cycle=True), Xorshift64(99))
+            return CiGenerator(config, Xorshift64(99), ScriptedSource([3, 1, 4, 2], cycle=True))
+
+        bulk, loop = make(), make()
+        n_rounds = generator._BLOCK_ROUNDS + 100
+        assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
+        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 2}
+        assert (bulk.x, bulk.rounds_emitted) == (loop.x, loop.rounds_emitted)
+
+    def test_xorshift_subclass_runs_round_blocks_only(self):
+        class Biased(Xorshift64):
+            """Single draws that the inherited array draws do not match."""
+
+            def next_bit(self):
+                return 1
+
+        config = GeneratorConfig(func.negation(4), k=13, seed_state=0)
+        bulk = CiGenerator(config, Biased(5), Xorshift64(6))
+        loop = CiGenerator(config, Biased(5), Xorshift64(6))
+        assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
+        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 1}
+        assert (bulk.prng1.state, bulk.prng2.state) == (loop.prng1.state, loop.prng2.state)
+
+    @pytest.mark.parametrize("n_bits", [4, 12])
+    def test_xorshift_sources_run_no_round_blocks(self, n_bits):
+        bulk, _ = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=3 * n_bits + 1)
+        bulk.states(generator._BULK_MIN_ROUNDS)
+        bulk.states(1000)
+        assert bulk.path_blocks["round"] == 0
+        assert sum(bulk.path_blocks.values()) == 2

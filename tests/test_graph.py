@@ -258,7 +258,7 @@ class TestReachabilityShortcut:
         assert verdict.scc_count == (2 if cut else 1)
 
     @pytest.fixture
-    def tarjan_calls(self, monkeypatch):
+    def scipy_calls(self, monkeypatch):
         calls = []
         labels = graph._component_labels
 
@@ -269,16 +269,16 @@ class TestReachabilityShortcut:
         monkeypatch.setattr(graph, "_component_labels", counting)
         return calls
 
-    def test_chaotic_functions_skip_tarjan(self, tarjan_calls):
+    def test_chaotic_functions_skip_scipy(self, scipy_calls):
         for n_bits in range(2, 9):
             assert graph.is_strongly_connected(graph.build_graph(func.negation(n_bits)))
         for images in KNOWN_CHAOTIC_VARIANTS:
             assert graph.is_strongly_connected(graph.build_graph(func.VectorOfImages(4, images)))
-        assert tarjan_calls == []
+        assert scipy_calls == []
 
-    def test_identity_runs_tarjan(self, tarjan_calls):
+    def test_identity_runs_scipy(self, scipy_calls):
         assert not graph.is_strongly_connected(graph.build_graph(func.identity(3)))
-        assert len(tarjan_calls) >= 1
+        assert len(scipy_calls) >= 1
 
 
 def test_import_leaves_scipy_sparse_unloaded():

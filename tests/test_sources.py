@@ -119,13 +119,6 @@ class TestXorshift64Arrays:
         with pytest.raises(ValueError):
             sources.Xorshift64(42).coordinates(5, 1)
 
-    def test_getstate_setstate_rewinds(self):
-        x = sources.Xorshift64(42)
-        saved = x.getstate()
-        first = list(x.words(10))
-        x.setstate(saved)
-        assert list(x.words(10)) == first
-
 
 def brute_byte_tables(columns):
     """Byte-sliced tables of the matrix with these 64 columns, by plain XORs."""
@@ -258,48 +251,43 @@ class TestScriptedSource:
 
 
 class TestScriptedArrays:
+    """Scripted single draws at the script's edges: wrap, exhaustion, bad values."""
+
     def test_cycle_wraps_like_single_draws(self):
-        bulk = sources.ScriptedSource([1, 2, 3], cycle=True)
-        single = sources.ScriptedSource([1, 2, 3], cycle=True)
-        for count in (2, 3, 7, 0, 1):
-            assert list(bulk.coordinates(count, 3)) == [
-                single.next_coordinate(3) for _ in range(count)
-            ]
-            assert bulk.cursor == single.cursor
+        s = sources.ScriptedSource([1, 2, 3], cycle=True)
+        assert [s.next_coordinate(3) for _ in range(7)] == [1, 2, 3, 1, 2, 3, 1]
+        assert s.cursor == 1
 
     def test_exhaustion_stops_where_single_draws_stop(self):
         s = sources.ScriptedSource([0, 1, 1])
-        assert list(s.bits(2)) == [0, 1]
+        assert [s.next_bit() for _ in range(3)] == [0, 1, 1]
         with pytest.raises(ScriptExhaustedError):
-            s.bits(2)
+            s.next_bit()
         assert s.cursor == 3
         with pytest.raises(ScriptExhaustedError):
-            s.bits(1)
+            s.next_coordinate(4)
 
     def test_out_of_range_values_raise_where_single_draws_stop(self):
         s = sources.ScriptedSource([1, 2, 5, 1])
+        assert [s.next_coordinate(4) for _ in range(2)] == [1, 2]
         with pytest.raises(ValueError, match="5"):
-            s.coordinates(4, 4)
+            s.next_coordinate(4)
         assert s.cursor == 3
+        assert s.next_coordinate(4) == 1
         with pytest.raises(ValueError):
-            sources.ScriptedSource([0, 2]).bits(2)
-        with pytest.raises(ValueError):
-            sources.ScriptedSource([1 << 70]).coordinates(1, 4)
+            sources.ScriptedSource([1 << 70]).next_coordinate(4)
 
     def test_bad_bit_message_is_the_single_draws(self):
-        with pytest.raises(ValueError) as single:
-            sources.ScriptedSource([2]).next_bit()
-        with pytest.raises(ValueError) as bulk:
-            sources.ScriptedSource([0, 2]).bits(2)
-        assert str(bulk.value) == str(single.value)
-
-    def test_array_draws_are_the_interface_defaults(self):
-        assert sources.ScriptedSource.bits is sources.EntropySource.bits
-        assert sources.ScriptedSource.coordinates is sources.EntropySource.coordinates
+        s = sources.ScriptedSource([0, 2])
+        assert s.next_bit() == 0
+        with pytest.raises(ValueError, match=r"^scripted bit source produced 2, expected 0 or 1$"):
+            s.next_bit()
 
     def test_empty_cycling_script_is_exhausted(self):
         with pytest.raises(ScriptExhaustedError):
-            sources.ScriptedSource([], cycle=True).bits(1)
+            sources.ScriptedSource([], cycle=True).next_bit()
+        with pytest.raises(ScriptExhaustedError):
+            sources.ScriptedSource([], cycle=True).next_coordinate(4)
 
 
 class TestParsing:

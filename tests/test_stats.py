@@ -23,7 +23,7 @@ from ciprng.errors import StreamTooShortError
 from ciprng.generator import CiGenerator, GeneratorConfig
 from ciprng.sources import Xorshift64
 
-from oracles import count_max_run_le, cusum_excursions, expansion_bits, window_counts
+from oracles import count_max_run_le, cusum_excursions, expansion_bits, longest_runs, window_counts
 from reference_data import KNOWN_CHAOTIC_VARIANTS
 
 
@@ -269,6 +269,22 @@ class TestLongestRunConstants:
                 exact.append((count_max_run_le(m, v) - count_max_run_le(m, v - 1)) / total)
             exact.append(1 - count_max_run_le(m, hi - 1) / total)
             assert exact == pytest.approx(list(pis), abs=5e-11)
+
+
+class TestLongestRunBlocks:
+    """All blocks' longest runs at once equal a plain loop over each block."""
+
+    @pytest.mark.parametrize("n", [128, 6271, 6272, 749_999, 750_000])
+    @pytest.mark.parametrize("ones", [0.5, 0.8])
+    def test_p_value_matches_block_loop_oracle(self, n, ones):
+        arr = (np.random.default_rng(n).random(n) < ones).astype(np.uint8)
+        _, m, k, classes, pi = [r for r in stats._LONGEST_RUN_REGIMES if n >= r[0]][-1]
+        counts = np.zeros(k + 1)
+        for run in longest_runs(arr.tolist(), m):
+            counts[min(max(run, classes[0]), classes[-1]) - classes[0]] += 1
+        expected = (n // m) * np.asarray(pi)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert stats.longest_run_of_ones(arr) == pytest.approx(float(sp.gammaincc(k / 2, chi2 / 2)), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
