@@ -6,14 +6,14 @@ second source and replacing coordinate S of the state with coordinate S
 of f(state).  The state after the m updates is the round output.
 
 `CiGenerator.round` is the definition.  `CiGenerator.states` gives the
-same outputs in bulk when both sources are Xorshift64: it draws a
-block's bits and coordinates as arrays, then runs the block's updates
-either through composed update tables (narrow N) or a scalar loop (wide
-N).  The composed tables start from f's mapping matrix as
-`func.mapping_matrix` builds it.  A bulk block holds at most
-_BLOCK_ROUNDS rounds and _BLOCK_UPDATES updates, so its arrays stay
-bounded at any k.  Short blocks, and every block drawn from other
-sources, run round() instead; a failing source raises there.
+same outputs in bulk when both sources are Xorshift64 and one round fits
+a block: it draws a block's bits and coordinates as arrays, then runs
+every block's updates through one engine, fixed when the generator is
+built: composed update tables (narrow N) or a scalar loop (wide N).  The
+composed tables start from f's mapping matrix as `func.mapping_matrix`
+builds it.  A bulk block holds at most _BLOCK_ROUNDS rounds and
+_BLOCK_UPDATES updates, so its arrays stay bounded at any k.  Other
+generators run round() for every round; a failing source raises there.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from .func import VectorOfImages, mapping_matrix
 from .sources import EntropySource, Xorshift64
 
 # Rounds per bulk block, and updates per bulk block: together they bound
-# the working arrays of one states() call, whatever k is.
+# the working arrays of one states() call, whatever k is.  The round cap
+# also pays: with blocks bounded by updates alone, states(250_000) at N=4,
+# k=13 took 156-238 ms against 122-162 ms (2-core Xeon, min of 7 calls).
 _BLOCK_ROUNDS = 4096
 _BLOCK_UPDATES = 1 << 18
 # Widest N whose rounds are composed over all 2^N start states; wider
@@ -37,8 +39,6 @@ _BLOCK_UPDATES = 1 << 18
 # 1.7, N=4 1.1 vs 1.7, N=5 1.7-2.6 vs 1.9-2.2 (a tie), N=6 3.8 vs 2.2,
 # N=12 1400 vs 10, N=16 27000 vs 10.
 _TABLE_BITS = 4
-# Fewest rounds in a block worth the bulk set-up; shorter blocks run round().
-_BULK_MIN_ROUNDS = 64
 # Entries allowed in one generator's table of composed update groups.
 _GROUP_ENTRIES = 1 << 14
 
@@ -80,11 +80,11 @@ class CiGenerator:
     its coordinates from prng2, and one object in both roles would
     interleave the two streams.
 
-    `path_blocks` counts the blocks that states() has run by each path:
-    "composed" (composed update tables), "scalar" (the scalar loop over
-    bulk draws) and "round" (round() one round at a time: short blocks,
-    and every block when a source is not exactly Xorshift64).  It is for
-    observing which path ran; it changes no output.
+    `path` names the one path states() runs, fixed here: "composed"
+    (composed update tables, N <= _TABLE_BITS) or "scalar" (the scalar
+    loop) over bulk draws when both sources are exactly Xorshift64 and
+    one round fits a block, else "round" (round() one round at a time).
+    It changes no output.
     """
 
     def __init__(self, config: GeneratorConfig, prng1: EntropySource, prng2: EntropySource):
@@ -97,9 +97,14 @@ class CiGenerator:
         self.rounds_emitted = 0
         # bulk blocks draw arrays, which only Xorshift64 gives; a subclass
         # could draw singles that its inherited arrays do not match
-        self._bulk = type(prng1) is Xorshift64 and type(prng2) is Xorshift64
-        self._groups = None  # (table, group size), built on first use
-        self.path_blocks = {"composed": 0, "scalar": 0, "round": 0}
+        bulk = type(prng1) is Xorshift64 and type(prng2) is Xorshift64
+        if not bulk or config.k + 1 > _BLOCK_UPDATES:
+            self.path = "round"
+        elif config.f.n_bits <= _TABLE_BITS:
+            self.path = "composed"
+            self._groups = _group_table(config.f, config.k)
+        else:
+            self.path = "scalar"
 
     def round(self) -> int:
         """Run one round (m = bit + k updates) and return the new state."""
@@ -111,7 +116,7 @@ class CiGenerator:
         for _ in range(m):
             s = self.prng2.next_coordinate(n)
             w = 1 << (n - s)
-            x = (x & ~w) | (images[x] & w)
+            x ^= (x ^ images[x]) & w
         self.x = x
         self.rounds_emitted += 1
         return x
@@ -123,30 +128,23 @@ class CiGenerator:
         and both sources as those calls would.  That holds also when a
         source fails partway (a script runs out or holds a value out of
         range): only Xorshift64 sources, whose draws cannot fail, run in
-        bulk, so any failure is raised by round() itself.
+        bulk, every block through the one engine fixed when the generator
+        was built, so any failure is raised by round() itself.
         """
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+        if self.path == "round":
+            return np.array([self.round() for _ in range(n_rounds)], dtype=np.int64)
         out = np.empty(n_rounds, dtype=np.int64)
-        # at large k fewer rounds fit a block, down to blocks too short for
-        # the bulk paths
-        size = max(1, min(_BLOCK_ROUNDS, _BLOCK_UPDATES // (self.config.k + 1)))
+        run = self._compose_rounds if self.path == "composed" else self._scalar_rounds
+        # at large k fewer rounds fit a block
+        size = min(_BLOCK_ROUNDS, _BLOCK_UPDATES // (self.config.k + 1))
         for start in range(0, n_rounds, size):
             block = out[start : start + size]
-            if not self._bulk or block.size < _BULK_MIN_ROUNDS:
-                self.path_blocks["round"] += 1
-                for i in range(block.size):
-                    block[i] = self.round()
-                continue
             # widen before adding k: a uint8 bit plus k = 255 would wrap
             updates = self.prng1.bits(block.size).astype(np.int64) + self.config.k
             coords = self.prng2.coordinates(int(updates.sum()), self.config.f.n_bits)
-            if self.config.f.n_bits <= _TABLE_BITS:
-                self.path_blocks["composed"] += 1
-                self._compose_rounds(updates, coords, block)
-            else:
-                self.path_blocks["scalar"] += 1
-                self._scalar_rounds(updates, coords, block)
+            run(updates, coords, block)
             self.x = int(block[-1])
             self.rounds_emitted += block.size
         return out
@@ -182,7 +180,7 @@ class CiGenerator:
         n = self.config.f.n_bits
         size = 1 << n
         k = self.config.k
-        table, g = self._group_table()
+        table, g = self._groups
         rounds = updates.size
         width = -(-(k + 1) // g) * g
         # coordinate s in [1, N] is table row s - 1; row N is the identity
@@ -203,26 +201,6 @@ class CiGenerator:
             xs.append(x)
         out[:] = xs
 
-    def _group_table(self) -> tuple[np.ndarray, int]:
-        """Maps of every sequence of g single-coordinate updates, g as large as fits.
-
-        Row c_1 + (N+1) c_2 + ... + (N+1)^(g-1) c_g maps each state
-        through the updates of row c_1 first, then c_2, ..., c_g.  The
-        one-update table is f's mapping matrix (`func.mapping_matrix`),
-        whose row c updates coordinate c + 1, with the identity below it
-        as row N.
-        """
-        if self._groups is None:
-            f = self.config.f
-            n = f.n_bits
-            single = np.vstack([mapping_matrix(f), np.arange(f.size)])
-            g, table = 1, single
-            while g <= self.config.k and (n + 1) ** (g + 1) * f.size <= _GROUP_ENTRIES:
-                table = single[:, table].reshape(-1, f.size)
-                g += 1
-            self._groups = table, g
-        return self._groups
-
     def bit_stream(self, n_rounds: int, include_seed: bool = False) -> str:
         """Big-endian bit patterns of n_rounds round outputs, concatenated.
 
@@ -242,3 +220,20 @@ class CiGenerator:
         n_rounds = -(-8 * n_bytes // n)  # ceil: enough rounds, tail bits dropped
         bits = bitops.state_bits(self.states(n_rounds), n)
         return bitops.pack_bits(bits[: 8 * n_bytes])
+
+
+def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
+    """Maps of every sequence of g single-coordinate updates, g as large as fits.
+
+    Row c_1 + (N+1) c_2 + ... + (N+1)^(g-1) c_g maps each state through
+    the updates of row c_1 first, then c_2, ..., c_g.  The one-update
+    table is f's mapping matrix (`func.mapping_matrix`), whose row c
+    updates coordinate c + 1, with the identity below it as row N.
+    """
+    n = f.n_bits
+    single = np.vstack([mapping_matrix(f), np.arange(f.size)])
+    g, table = 1, single
+    while g <= k and (n + 1) ** (g + 1) * f.size <= _GROUP_ENTRIES:
+        table = single[:, table].reshape(-1, f.size)
+        g += 1
+    return table, g

@@ -142,6 +142,9 @@ def is_strongly_connected(g: IterationGraph) -> ChaosVerdict:
     component.  Nothing outside a sink is reachable from it, so there is
     no path from u to v.
     """
+    # scipy alone would decide too, but on negation(12) its first call in a
+    # process takes 0.39 s and 33 MiB more peak RSS (loading scipy.sparse),
+    # the sweep 18 ms and 1.4 MiB (2-core Xeon)
     if _permutations_reach_all(g):
         return ChaosVerdict(True, 1)
     count, label = _component_labels(g)

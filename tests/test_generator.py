@@ -214,7 +214,7 @@ class TestFastPath:
             images = tuple(rnd.randrange(size) for _ in range(size))
             bulk, loop = self.make_pair(images, n_bits, seed_state=rnd.randrange(size))
             assert list(bulk.states(500)) == [loop.round() for _ in range(500)], n_bits
-            # a short call, below the rounds worth the bulk set-up
+            # a short call takes the same path as a long one
             assert list(bulk.states(7)) == [loop.round() for _ in range(7)], n_bits
             self.assert_same_end(bulk, loop)
 
@@ -250,10 +250,22 @@ class TestFastPath:
         assert (bulk.x, bulk.rounds_emitted) == (loop.x, loop.rounds_emitted)
 
     def test_chunked_calls_equal_one_call(self):
-        fast1, _ = self.make_pair(func.negation(4).images, 4)
-        fast2, _ = self.make_pair(func.negation(4).images, 4)
-        combined = np.concatenate([fast1.states(700), fast1.states(300)])
-        assert list(combined) == list(fast2.states(1000))
+        # chunks around a whole block and the short ones below it; at
+        # k = 5000 a block holds 52 rounds
+        short = [1, 7, 63, 64, 65]
+        whole = [generator._BLOCK_ROUNDS - 1, generator._BLOCK_ROUNDS + 1]
+        cases = [(n_bits, 3 * n_bits + 1, short + whole) for n_bits in (4, 5, 12, 16)]
+        cases += [(4, 5000, short), (12, 5000, short)]
+        rnd = random.Random(9)
+        for n_bits, k, chunks in cases:
+            size = 1 << n_bits
+            images = tuple(rnd.randrange(size) for _ in range(size))
+            bulk, loop = self.make_pair(images, n_bits, k=k)
+            one, _ = self.make_pair(images, n_bits, k=k)
+            combined = np.concatenate([bulk.states(c) for c in chunks])
+            assert list(combined) == [loop.round() for _ in range(sum(chunks))], (n_bits, k)
+            assert list(combined) == list(one.states(sum(chunks))), (n_bits, k)
+            self.assert_same_end(bulk, loop)
 
     def test_byte_stream_matches_pure(self):
         # N=5 drops tail bits: 4096 bits need 820 rounds of 5
@@ -376,6 +388,20 @@ class TestSourceAliasing:
         assert gen.states(10).size == 10
 
 
+def engine_blocks(gen):
+    """Sizes of the blocks gen.states() sends to its bulk engine from now on."""
+    name = "_compose_rounds" if gen.path == "composed" else "_scalar_rounds"
+    engine = getattr(gen, name)
+    sizes = []
+
+    def counted(updates, coords, out):
+        sizes.append(out.size)
+        engine(updates, coords, out)
+
+    setattr(gen, name, counted)
+    return sizes
+
+
 class TestBlockUpdateCap:
     """A bulk block holds at most _BLOCK_UPDATES updates; outputs do not change."""
 
@@ -385,59 +411,81 @@ class TestBlockUpdateCap:
         k = 3 * n_bits + 1
         monkeypatch.setattr(generator, "_BLOCK_UPDATES", 100 * (k + 1))
         bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=k)
+        assert bulk.path == ("composed" if n_bits <= generator._TABLE_BITS else "scalar")
+        blocks = engine_blocks(bulk)
         assert list(bulk.states(1050)) == [loop.round() for _ in range(1050)]
         TestFastPath.assert_same_end(bulk, loop)
-        # ten full blocks in bulk; the last 50 rounds are too few for it
-        expected = {"composed": 0, "scalar": 0, "round": 1}
-        expected["composed" if n_bits <= generator._TABLE_BITS else "scalar"] = 10
-        assert bulk.path_blocks == expected
+        # ten full blocks, and the last 50 rounds in bulk too
+        assert blocks == [100] * 10 + [50]
 
-    def test_cap_below_bulk_minimum_runs_round_loop(self, monkeypatch):
+    def test_short_capped_blocks_run_bulk(self, monkeypatch):
+        # a cap of 63 rounds: every block, the short tail too, runs in bulk
         k = 13
-        monkeypatch.setattr(generator, "_BLOCK_UPDATES", (generator._BULK_MIN_ROUNDS - 1) * (k + 1))
+        monkeypatch.setattr(generator, "_BLOCK_UPDATES", 63 * (k + 1))
         bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=k)
+        blocks = engine_blocks(bulk)
         assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
         TestFastPath.assert_same_end(bulk, loop)
-        assert bulk.path_blocks["composed"] == 0
-        assert bulk.path_blocks["round"] == -(-300 // (generator._BULK_MIN_ROUNDS - 1))
+        assert blocks == [63] * 4 + [48]
+
+    def test_cap_of_one_round_runs_bulk(self, monkeypatch):
+        # k + 1 updates exactly fill the cap: one round a block
+        monkeypatch.setattr(generator, "_BLOCK_UPDATES", 14)
+        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        assert bulk.path == "composed"
+        blocks = engine_blocks(bulk)
+        assert list(bulk.states(5)) == [loop.round() for _ in range(5)]
+        TestFastPath.assert_same_end(bulk, loop)
+        assert blocks == [1] * 5
 
     def test_cap_under_one_round_still_makes_progress(self, monkeypatch):
+        # k + 1 updates exceed the cap: no block holds a round, so round() runs
         monkeypatch.setattr(generator, "_BLOCK_UPDATES", 3)
         bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        assert bulk.path == "round"
         assert list(bulk.states(5)) == [loop.round() for _ in range(5)]
-        assert bulk.path_blocks["round"] == 5
+        TestFastPath.assert_same_end(bulk, loop)
 
     def test_block_rounds_unchanged_at_small_k(self):
         # at k = 13 the update cap leaves whole blocks of _BLOCK_ROUNDS
         bulk, _ = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        blocks = engine_blocks(bulk)
         bulk.states(2 * generator._BLOCK_ROUNDS)
-        assert bulk.path_blocks["composed"] == 2
+        assert blocks == [generator._BLOCK_ROUNDS] * 2
 
 
 class TestPathBlocks:
-    """path_blocks counts the blocks each path of states() ran."""
+    """A generator fixes the one path states() runs when it is built."""
 
     def test_long_narrow_call_is_composed(self):
-        bulk, _ = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
-        bulk.states(generator._BLOCK_ROUNDS + 100)
-        assert bulk.path_blocks == {"composed": 2, "scalar": 0, "round": 0}
+        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        assert bulk.path == "composed"
+        blocks = engine_blocks(bulk)
+        n_rounds = generator._BLOCK_ROUNDS + 100
+        assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
+        assert blocks == [generator._BLOCK_ROUNDS, 100]
 
     def test_wide_call_is_scalar(self):
-        bulk, _ = TestFastPath.make_pair(func.negation(12).images, 12, k=37)
-        bulk.states(200)
-        assert bulk.path_blocks == {"composed": 0, "scalar": 1, "round": 0}
+        bulk, loop = TestFastPath.make_pair(func.negation(12).images, 12, k=37)
+        assert bulk.path == "scalar"
+        blocks = engine_blocks(bulk)
+        assert list(bulk.states(200)) == [loop.round() for _ in range(200)]
+        assert blocks == [200]
 
-    def test_short_call_runs_round(self):
-        bulk, _ = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
-        bulk.states(generator._BULK_MIN_ROUNDS - 1)
-        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 1}
+    def test_short_calls_run_bulk(self):
+        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        blocks = engine_blocks(bulk)
+        for n_rounds in (1, 7, 63):
+            assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
+        TestFastPath.assert_same_end(bulk, loop)
+        assert blocks == [1, 7, 63]
 
     def test_failure_replay_runs_round(self):
         bits, coords = TestScriptedBulk.scripts(300)
         bulk, _ = TestScriptedBulk.make_pair(bits[:250], coords)
+        assert bulk.path == "round"
         with pytest.raises(ScriptExhaustedError):
             bulk.states(300)
-        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 1}
 
     @pytest.mark.parametrize("scripted", ["prng1", "prng2"])
     def test_scripted_source_runs_round_blocks_only(self, scripted):
@@ -449,9 +497,9 @@ class TestPathBlocks:
             return CiGenerator(config, Xorshift64(99), ScriptedSource([3, 1, 4, 2], cycle=True))
 
         bulk, loop = make(), make()
+        assert bulk.path == "round"
         n_rounds = generator._BLOCK_ROUNDS + 100
         assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
-        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 2}
         assert (bulk.x, bulk.rounds_emitted) == (loop.x, loop.rounds_emitted)
 
     def test_xorshift_subclass_runs_round_blocks_only(self):
@@ -464,14 +512,16 @@ class TestPathBlocks:
         config = GeneratorConfig(func.negation(4), k=13, seed_state=0)
         bulk = CiGenerator(config, Biased(5), Xorshift64(6))
         loop = CiGenerator(config, Biased(5), Xorshift64(6))
+        assert bulk.path == "round"
         assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
-        assert bulk.path_blocks == {"composed": 0, "scalar": 0, "round": 1}
         assert (bulk.prng1.state, bulk.prng2.state) == (loop.prng1.state, loop.prng2.state)
 
-    @pytest.mark.parametrize("n_bits", [4, 12])
+    @pytest.mark.parametrize("n_bits", [4, 5, 12])
     def test_xorshift_sources_run_no_round_blocks(self, n_bits):
-        bulk, _ = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=3 * n_bits + 1)
-        bulk.states(generator._BULK_MIN_ROUNDS)
-        bulk.states(1000)
-        assert bulk.path_blocks["round"] == 0
-        assert sum(bulk.path_blocks.values()) == 2
+        bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=3 * n_bits + 1)
+        assert bulk.path == ("composed" if n_bits <= generator._TABLE_BITS else "scalar")
+        blocks = engine_blocks(bulk)
+        got = np.concatenate([bulk.states(1), bulk.states(1000)])
+        assert list(got) == [loop.round() for _ in range(1001)]
+        TestFastPath.assert_same_end(bulk, loop)
+        assert blocks == [1, 1000]

@@ -91,9 +91,11 @@ class TestXorshift64:
 class TestXorshift64Arrays:
     """Array draws equal the same number of single draws, jump-ahead included."""
 
-    # around the stepped head (64 words), the doublings and the steady
-    # jump of 8192 words, whose last block is partial
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 200, 8192, 8193, 20_000])
+    # around the first doublings of the walk from one word, and the
+    # steady jump of _JUMP_WORDS words, whose last block is partial
+    @pytest.mark.parametrize(
+        "count", [0, 1, 2, 3, 4, 5, 63, 64, 65, 200, 8192, 8193, 2 * sources._JUMP_WORDS + 1, 20_000]
+    )
     def test_words_equal_single_steps(self, count):
         bulk, single = sources.Xorshift64(0xDEADBEEF), sources.Xorshift64(0xDEADBEEF)
         words = bulk.words(count)
