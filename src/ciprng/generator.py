@@ -9,17 +9,18 @@ of f(state).  The state after the m updates is the round output.
 same outputs in bulk when both sources are Xorshift64 and one round fits
 a block: it draws a block's bits and coordinates as arrays, then runs
 every block's updates through one engine, fixed when the generator is
-built: composed update tables (narrow N) or a scalar loop (wide N).  The
-composed tables start from f's mapping matrix as `func.mapping_matrix`
-builds it.  A bulk block holds at most _BLOCK_ROUNDS rounds and
-_BLOCK_UPDATES updates, so its arrays stay bounded at any k.  Other
-generators run round() for every round; a failing source raises there.
+built: a walk through a table of composed update groups (narrow N) or a
+scalar loop (wide N).  The table starts from f's mapping matrix as
+`func.mapping_matrix` builds it.  A bulk block holds at most _BLOCK_ROUNDS
+rounds and _BLOCK_UPDATES updates, so its arrays stay bounded at any k.
+Other generators run round() for every round; a failing source raises there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+import operator
 
 import numpy as np
 
@@ -33,13 +34,12 @@ from .sources import EntropySource, Xorshift64
 # k=13 took 156-238 ms against 122-162 ms (2-core Xeon, min of 7 calls).
 _BLOCK_ROUNDS = 4096
 _BLOCK_UPDATES = 1 << 18
-# Widest N whose rounds are composed over all 2^N start states; wider
-# states run the scalar loop.  Measured on a 2-core Xeon, k = 3N + 1,
-# microseconds a round, composed vs scalar, draws included: N=2 0.8 vs
-# 1.7, N=4 1.1 vs 1.7, N=5 1.7-2.6 vs 1.9-2.2 (a tie), N=6 3.8 vs 2.2,
-# N=12 1400 vs 10, N=16 27000 vs 10.
-_TABLE_BITS = 4
 # Entries allowed in one generator's table of composed update groups.
+# It sets the group length g, and the widest N that walks the table at
+# all: (N + 1) << N entries must fit, so N <= 10.  On a 2-core Xeon
+# (k = 3N + 1, min of 15 calls) 1 << 13 took N=4 states(65536) from 26-40
+# to 32-44 ms and N=10 to the slower scalar loop; 1 << 15 doubled N=2's
+# table build (states(64) 0.8 to 1.7 ms).  N=12 and 16 stay scalar.
 _GROUP_ENTRIES = 1 << 14
 
 
@@ -49,7 +49,8 @@ class GeneratorConfig:
 
     Strict mode requires k > 3N, the regime in which round outputs
     decorrelate from the seed; compat mode admits any k >= 1 so that
-    short known traces can be reproduced.
+    short known traces can be reproduced.  A non-integer k or seed_state
+    is a TypeError.
     """
 
     f: VectorOfImages
@@ -58,6 +59,8 @@ class GeneratorConfig:
     strict: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "seed_state", operator.index(self.seed_state))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.strict and self.k <= 3 * self.f.n_bits:
@@ -81,10 +84,10 @@ class CiGenerator:
     interleave the two streams.
 
     `path` names the one path states() runs, fixed here: "composed"
-    (composed update tables, N <= _TABLE_BITS) or "scalar" (the scalar
-    loop) over bulk draws when both sources are exactly Xorshift64 and
-    one round fits a block, else "round" (round() one round at a time).
-    It changes no output.
+    (a walk through the group table, when its one-update rows fit in
+    _GROUP_ENTRIES) or "scalar" (the scalar loop) over bulk draws when
+    both sources are exactly Xorshift64 and one round fits a block, else
+    "round" (round() one round at a time).  It changes no output.
     """
 
     def __init__(self, config: GeneratorConfig, prng1: EntropySource, prng2: EntropySource):
@@ -100,7 +103,7 @@ class CiGenerator:
         bulk = type(prng1) is Xorshift64 and type(prng2) is Xorshift64
         if not bulk or config.k + 1 > _BLOCK_UPDATES:
             self.path = "round"
-        elif config.f.n_bits <= _TABLE_BITS:
+        elif (config.f.n_bits + 1) << config.f.n_bits <= _GROUP_ENTRIES:
             self.path = "composed"
             self._groups = _group_table(config.f, config.k)
         else:
@@ -168,38 +171,26 @@ class CiGenerator:
         out[:] = xs
 
     def _compose_rounds(self, updates: np.ndarray, coords: np.ndarray, out: np.ndarray) -> None:
-        """Compose each round's updates over all 2^N start states, then chain.
+        """Walk the state through the group table, one group of updates a step.
 
         A round's k or k + 1 coordinates are padded with the identity to
-        a whole number of groups of g; one gather per group turns each
-        round into a map of all 2^N states, and the rounds are chained
-        from x through their maps.  A map holds 2^N entries against the
-        scalar loop's one state, so this pays only for narrow N (see
-        _TABLE_BITS).
+        per = ceil((k + 1) / g) groups of g.  One gather turns every
+        group into its row of the table, so a step is one lookup, and
+        every per-th state is a round output.
         """
         n = self.config.f.n_bits
-        size = 1 << n
-        k = self.config.k
         table, g = self._groups
-        rounds = updates.size
-        width = -(-(k + 1) // g) * g
+        per = -(-(self.config.k + 1) // g)
         # coordinate s in [1, N] is table row s - 1; row N is the identity
-        rows = np.full((rounds, width), n)
-        rows[np.arange(width) < updates[:, None]] = coords - 1
-        group = rows.reshape(rounds, -1, g) @ ((n + 1) ** np.arange(g))
-        offset = group * size
-        flat = table.ravel()
-        maps = table[group[:, 0]]
-        for j in range(1, group.shape[1]):
-            maps += offset[:, j : j + 1]
-            flat.take(maps, out=maps)
-        cells = maps.ravel().tolist()
+        rows = np.full((updates.size, per * g), n)
+        rows[np.arange(per * g) < updates[:, None]] = coords - 1
+        groups = rows.reshape(-1, g) @ ((n + 1) ** np.arange(g))
         x = self.x
         xs = []
-        for base in range(0, rounds * size, size):
-            x = cells[base + x]
+        for row in table[groups].tolist():
+            x = row[x]
             xs.append(x)
-        out[:] = xs
+        out[:] = xs[per - 1 :: per]
 
     def bit_stream(self, n_rounds: int, include_seed: bool = False) -> str:
         """Big-endian bit patterns of n_rounds round outputs, concatenated.
@@ -229,6 +220,11 @@ def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
     the updates of row c_1 first, then c_2, ..., c_g.  The one-update
     table is f's mapping matrix (`func.mapping_matrix`), whose row c
     updates coordinate c + 1, with the identity below it as row N.
+
+    The rows sit in a 1-d object array, so numpy gathers a block's rows
+    in one call.  A row number, or an index (row << N) + x into one flat
+    list, passes 256, Python's last cached int, at most steps: N=4
+    states(65536) took 57-60 ms that way, against 42-48 ms.
     """
     n = f.n_bits
     single = np.vstack([mapping_matrix(f), np.arange(f.size)])
@@ -236,4 +232,4 @@ def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
     while g <= k and (n + 1) ** (g + 1) * f.size <= _GROUP_ENTRIES:
         table = single[:, table].reshape(-1, f.size)
         g += 1
-    return table, g
+    return np.fromiter(table.tolist(), dtype=object, count=len(table)), g

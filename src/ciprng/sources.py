@@ -16,6 +16,7 @@ planes of the words they would read.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -222,7 +223,7 @@ def _jump(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 class ScriptedSource(EntropySource):
-    """Replays a fixed sequence of integers.
+    """Replays a fixed sequence of integers; a non-integer is a TypeError.
 
     Raises ScriptExhaustedError when the script runs out, unless `cycle`
     was set, in which case it wraps around; ValueError at a value out of
@@ -231,7 +232,7 @@ class ScriptedSource(EntropySource):
     """
 
     def __init__(self, values: Sequence[int], cycle: bool = False):
-        self.values = tuple(int(v) for v in values)
+        self.values = tuple(map(operator.index, values))
         self.cycle = cycle
         self.cursor = 0
 

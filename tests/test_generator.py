@@ -50,6 +50,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(func.negation(4), k=13, seed_state=-1)
 
+    def test_rejects_non_integer_k(self):
+        with pytest.raises(TypeError):
+            GeneratorConfig(func.negation(4), k=13.0, seed_state=0)
+
+    def test_rejects_non_integer_seed_state(self):
+        with pytest.raises(TypeError):
+            GeneratorConfig(func.negation(4), k=13, seed_state=2.0)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        config = GeneratorConfig(func.negation(4), k=np.int64(13), seed_state=np.uint8(2))
+        assert (config.k, config.seed_state) == (13, 2)
+        assert type(config.k) is int and type(config.seed_state) is int
+
 
 class TestGoldenTrace:
     def test_round_outputs(self):
@@ -205,10 +218,12 @@ class TestFastPath:
         self.assert_same_end(bulk, loop)
 
     def test_states_match_other_widths(self):
-        # widths on both sides of the crossover from composed tables to
-        # the scalar loop, wherever it is set
+        # widths on both sides of the crossover from the group-table walk
+        # to the scalar loop: the widest N whose one-update table fits in
+        # _GROUP_ENTRIES, and the next
         rnd = random.Random(5)
-        widths = {2, 3, 4, 5, 8, 12, 16, generator._TABLE_BITS, generator._TABLE_BITS + 1}
+        widest = max(n for n in range(2, 17) if composed(n))
+        widths = {2, 3, 4, 5, 8, 12, 16, widest, widest + 1}
         for n_bits in sorted(widths):
             size = 1 << n_bits
             images = tuple(rnd.randrange(size) for _ in range(size))
@@ -254,7 +269,7 @@ class TestFastPath:
         # k = 5000 a block holds 52 rounds
         short = [1, 7, 63, 64, 65]
         whole = [generator._BLOCK_ROUNDS - 1, generator._BLOCK_ROUNDS + 1]
-        cases = [(n_bits, 3 * n_bits + 1, short + whole) for n_bits in (4, 5, 12, 16)]
+        cases = [(n_bits, 3 * n_bits + 1, short + whole) for n_bits in (2, 4, 5, 10, 12, 16)]
         cases += [(4, 5000, short), (12, 5000, short)]
         rnd = random.Random(9)
         for n_bits, k, chunks in cases:
@@ -388,6 +403,11 @@ class TestSourceAliasing:
         assert gen.states(10).size == 10
 
 
+def composed(n_bits):
+    """Whether a bulk generator of width n_bits walks the group table."""
+    return (n_bits + 1) << n_bits <= generator._GROUP_ENTRIES
+
+
 def engine_blocks(gen):
     """Sizes of the blocks gen.states() sends to its bulk engine from now on."""
     name = "_compose_rounds" if gen.path == "composed" else "_scalar_rounds"
@@ -411,7 +431,7 @@ class TestBlockUpdateCap:
         k = 3 * n_bits + 1
         monkeypatch.setattr(generator, "_BLOCK_UPDATES", 100 * (k + 1))
         bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=k)
-        assert bulk.path == ("composed" if n_bits <= generator._TABLE_BITS else "scalar")
+        assert bulk.path == ("composed" if composed(n_bits) else "scalar")
         blocks = engine_blocks(bulk)
         assert list(bulk.states(1050)) == [loop.round() for _ in range(1050)]
         TestFastPath.assert_same_end(bulk, loop)
@@ -516,10 +536,10 @@ class TestPathBlocks:
         assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
         assert (bulk.prng1.state, bulk.prng2.state) == (loop.prng1.state, loop.prng2.state)
 
-    @pytest.mark.parametrize("n_bits", [4, 5, 12])
+    @pytest.mark.parametrize("n_bits", [4, 5, 10, 11, 12, 16])
     def test_xorshift_sources_run_no_round_blocks(self, n_bits):
         bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=3 * n_bits + 1)
-        assert bulk.path == ("composed" if n_bits <= generator._TABLE_BITS else "scalar")
+        assert bulk.path == ("composed" if composed(n_bits) else "scalar")
         blocks = engine_blocks(bulk)
         got = np.concatenate([bulk.states(1), bulk.states(1000)])
         assert list(got) == [loop.round() for _ in range(1001)]

@@ -251,6 +251,16 @@ class TestScriptedSource:
         with pytest.raises(ValueError):
             sources.ScriptedSource([5]).next_coordinate(4)
 
+    @pytest.mark.parametrize("value", [1.7, "3"])
+    def test_rejects_non_integer_value(self, value):
+        with pytest.raises(TypeError):
+            sources.ScriptedSource([value])
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        s = sources.ScriptedSource(np.array([2, 4], dtype=np.uint8))
+        assert s.values == (2, 4)
+        assert all(type(v) is int for v in s.values)
+
 
 class TestScriptedArrays:
     """Scripted single draws at the script's edges: wrap, exhaustion, bad values."""
