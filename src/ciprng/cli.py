@@ -11,6 +11,7 @@ statistical test failed, 2 usage, parse, or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .sources import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ciprng command line."""
     parser = argparse.ArgumentParser(
         prog="ciprng",
         description="Chaotic-iteration PRNG toolkit: generate, verify, search, test.",
@@ -218,9 +220,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` parses with, built on first use.
+
+    Building the parser takes about 1 ms, longer than a short `gen`'s
+    own work, and `main` may be called many times in one process.
+    Parsing leaves the parser unchanged: each call gets a fresh namespace.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (CiprngError, ValueError, OSError) as exc:

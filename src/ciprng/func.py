@@ -107,14 +107,14 @@ class BalanceVerdict:
 def negation(n_bits: int) -> VectorOfImages:
     """The map complementing every coordinate: images[q] = 2^N - 1 - q."""
     _check_width(n_bits)
-    mask = (1 << n_bits) - 1
-    return VectorOfImages(n_bits, tuple(mask ^ q for q in range(1 << n_bits)))
+    # mask ^ q = mask - q for q in [0, mask]
+    return _unchecked(n_bits, tuple(range((1 << n_bits) - 1, -1, -1)))
 
 
 def identity(n_bits: int) -> VectorOfImages:
     """The map leaving every state fixed: images[q] = q."""
     _check_width(n_bits)
-    return VectorOfImages(n_bits, tuple(range(1 << n_bits)))
+    return _unchecked(n_bits, tuple(range(1 << n_bits)))
 
 
 def _check_width(n_bits: int) -> None:

@@ -11,7 +11,9 @@ a block: it draws a block's bits and coordinates as arrays, then runs
 every block's updates through one engine, fixed when the generator is
 built: a walk through a table of composed update groups (narrow N) or a
 scalar loop (wide N).  The table starts from f's mapping matrix as
-`func.mapping_matrix` builds it.  A bulk block holds at most _BLOCK_ROUNDS
+`func.mapping_matrix` builds it, once per (f, k) value: a bounded cache
+keeps the last _GROUP_TABLES tables, read-only, so generators over equal
+functions and k share one.  A bulk block holds at most _BLOCK_ROUNDS
 rounds and _BLOCK_UPDATES updates, so its arrays stay bounded at any k.
 Other generators run round() for every round; a failing source raises there.
 """
@@ -19,6 +21,7 @@ Other generators run round() for every round; a failing source raises there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 from itertools import islice
 import operator
 
@@ -41,6 +44,9 @@ _BLOCK_UPDATES = 1 << 18
 # to 32-44 ms and N=10 to the slower scalar loop; 1 << 15 doubled N=2's
 # table build (states(64) 0.8 to 1.7 ms).  N=12 and 16 stay scalar.
 _GROUP_ENTRIES = 1 << 14
+# Group tables kept by _group_table's cache.  The benchmark's stream
+# workload cycles 9 functions at one k, and acceptance test 07 uses 8.
+_GROUP_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,7 @@ class CiGenerator:
         return bitops.pack_bits(bits[: 8 * n_bytes])
 
 
+@functools.lru_cache(maxsize=_GROUP_TABLES)
 def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
     """Maps of every sequence of g single-coordinate updates, g as large as fits.
 
@@ -221,8 +228,10 @@ def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
     table is f's mapping matrix (`func.mapping_matrix`), whose row c
     updates coordinate c + 1, with the identity below it as row N.
 
-    The rows sit in a 1-d object array, so numpy gathers a block's rows
-    in one call.  A row number, or an index (row << N) + x into one flat
+    The rows sit as tuples in a 1-d read-only object array, so numpy
+    gathers a block's rows in one call, and a cached table, shared by
+    every generator over an equal (f, k), cannot be changed through any
+    of them.  A row number, or an index (row << N) + x into one flat
     list, passes 256, Python's last cached int, at most steps: N=4
     states(65536) took 57-60 ms that way, against 42-48 ms.
     """
@@ -232,4 +241,6 @@ def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
     while g <= k and (n + 1) ** (g + 1) * f.size <= _GROUP_ENTRIES:
         table = single[:, table].reshape(-1, f.size)
         g += 1
-    return np.fromiter(table.tolist(), dtype=object, count=len(table)), g
+    rows = np.fromiter(map(tuple, table.tolist()), dtype=object, count=len(table))
+    rows.flags.writeable = False
+    return rows, g

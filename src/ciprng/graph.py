@@ -9,9 +9,9 @@ matrix itself: `IterationGraph` holds the (N, 2^N) array that
 generator built on f behaves chaotically exactly when this graph is
 strongly connected.  When every row of the mapping matrix is a
 permutation (f balanced), one reachability sweep from vertex 0 decides
-it; any other graph, and any graph the sweep finds disconnected, goes to
-scipy's strong-components routine, which alone gives the component count
-and a witness.
+it; any other graph, and any graph the sweep does not find connected
+within 4N levels, goes to scipy's strong-components routine, which
+alone gives the component count and a witness.
 """
 
 from __future__ import annotations
@@ -104,12 +104,16 @@ def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
 
 
 def _permutations_reach_all(g: IterationGraph) -> bool:
-    """True when every row of the mapping matrix is a permutation and one
-    forward sweep from vertex 0 reaches every vertex.
+    """True when every row of the mapping matrix is a permutation and a
+    forward sweep from vertex 0 reaches every vertex within 4N levels.
 
     The cells lie in [0, 2^N - 1], so a row is a permutation exactly when,
     sorted, it reads 0, 1, ..., 2^N - 1.  The sweep gathers the heads of
-    all arcs leaving one level's frontier at once.
+    all arcs leaving one level's frontier at once.  A level costs 10-15 us
+    of numpy calls however small its frontier, so a deep sweep gives up and
+    leaves the graph to scipy: the negation and its paired-edit variants
+    take N + 1 levels, but the Gray-code Hamiltonian path takes 2^N - 1
+    (at N=16, 0.85 s against 39 ms in scipy).
     """
     rows = g.matrix
     n = g.n_vertices
@@ -118,9 +122,11 @@ def _permutations_reach_all(g: IterationGraph) -> bool:
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=rows.dtype)
-    while frontier.size:
+    for _ in range(4 * g.n_bits):
         heads = rows[:, frontier]
         frontier = np.unique(heads[~seen[heads]])
+        if not frontier.size:
+            break
         seen[frontier] = True
     return bool(seen.all())
 
@@ -134,8 +140,8 @@ def is_strongly_connected(g: IterationGraph) -> ChaosVerdict:
     whenever u reaches v.  There "vertex 0 reaches every vertex" is the
     same as strong connectivity, and one forward sweep settles it.
     scipy's strong components are computed only when a row is not a
-    permutation or the sweep misses a vertex; they give the component
-    count and the witness.
+    permutation or the sweep, capped at 4N levels, misses a vertex; they
+    give the component count and the witness.
 
     The witness (u, v): u is the smallest vertex of any sink, a component
     that no arc leaves, and v is the smallest vertex outside u's

@@ -10,7 +10,10 @@ draws and leaves the source where they would.
 The xorshift step is linear over GF(2), so its array draws are matrix
 products: words by jump-ahead over byte-sliced tables of the step's
 powers, and bits and power-of-two coordinates from only the low bit
-planes of the words they would read.
+planes of the words they would read.  Those planes are read 64 words at
+a time from anchors, every 64th word, which one gather over a cached
+table of the columns of M^(64 j) gives at once (see
+Xorshift64._low_bits).
 """
 
 from __future__ import annotations
@@ -26,11 +29,15 @@ from .errors import ScriptExhaustedError
 _MASK64 = (1 << 64) - 1
 
 # Xorshift64.words steps one word, then doubles the run by jump-ahead
-# until blocks of _JUMP_WORDS words are derived from the block before (the
-# plane draws walk their anchors the same way).  A power of two, and a cap
-# that pays: with uncapped doubling words(2**18) took 8.0-8.3 ms against
-# 5.0 ms (2-core Xeon, min of 15 calls).
+# until blocks of _JUMP_WORDS words are derived from the block before.  A
+# power of two, and a cap that pays: with uncapped doubling words(2**18)
+# took 8.0-8.3 ms against 5.0 ms (2-core Xeon, min of 15 calls).
 _JUMP_WORDS = 8192
+# The plane draws gather at most _ANCHOR_CHUNK anchors from one word (see
+# Xorshift64._low_bits), so _anchor_table holds the columns of
+# _ANCHOR_CHUNK + 1 matrices, about 0.5 MiB; a 2048-byte N=4 stream draws
+# about 865 coordinate anchors, one chunk.
+_ANCHOR_CHUNK = 1024
 # bits() and coordinates() at n_bits = 2^j, j <= _MAX_PLANES, read only the
 # low j bit planes of the words (see Xorshift64._low_bits).
 _MAX_PLANES = 4
@@ -122,17 +129,29 @@ class Xorshift64(EntropySource):
     def _low_bits(self, count: int, planes: int) -> np.ndarray:
         """The low `planes` bits of each of the next `count` words, as uint8.
 
-        Only every 64th word, an anchor, is walked (by jump-ahead with
-        M^64).  Plane p's matrix maps an anchor to one word whose bit b
-        is bit p of the word b steps on, so one matrix product per plane
-        gives 64 words' bits.  The state is then stepped from the last
-        anchor to word count - 1, where count single draws leave it.
+        Only every 64th word, an anchor, is computed.  Anchor j of a
+        chunk is M^(64 j) applied to its first anchor a, which is the XOR
+        of M^(64 j) e_i over the set bits i of a: one gather of
+        _anchor_table's rows at a's bits and one XOR reduction give a
+        chunk of up to _ANCHOR_CHUNK anchors, and entry _ANCHOR_CHUNK
+        gives the next chunk's first.  Plane p's matrix maps an anchor to
+        one word whose bit b is bit p of the word b steps on, so one
+        matrix product per plane gives 64 words' bits.  The state is then
+        stepped from the last anchor to word count - 1, where count
+        single draws leave it.
         """
         if not count:
             return np.zeros(0, dtype=np.uint8)
         anchors = np.empty(-(-count // 64), dtype=np.uint64)
-        anchors[0] = self.next_word()
-        _walk(anchors, 64)
+        table = _anchor_table()
+        units = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        first = self.next_word()
+        for start in range(0, anchors.size, _ANCHOR_CHUNK):
+            take = min(_ANCHOR_CHUNK, anchors.size - start)
+            rows = table[(units & np.uint64(first)) != 0, : take + 1]
+            chunk = np.bitwise_xor.reduce(rows, axis=0)
+            anchors[start : start + take] = chunk[:take]
+            first = int(chunk[take])
         self.state = int(anchors[-1])
         for _ in range((count - 1) % 64):
             self.next_word()
@@ -176,6 +195,22 @@ def _jump_tables(log_steps: int) -> np.ndarray:
         half = _jump_tables(log_steps - 1)
         columns = _jump(half, half[:, 1 << np.arange(8)].ravel())
     return _byte_tables(columns)
+
+
+@functools.cache
+def _anchor_table() -> np.ndarray:
+    """Read-only (64, _ANCHOR_CHUNK + 1) uint64 table: entry [i, j] is
+    M^(64 j) e_i, the unit word e_i = 2^i stepped 64 j times.
+
+    Column j thus holds the 64 columns of M^(64 j).  The rows are walked
+    together from the unit words, 64 steps an entry (see _walk).
+    """
+    walk = np.empty((_ANCHOR_CHUNK + 1, 64), dtype=np.uint64)
+    walk[0] = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    _walk(walk, 64)
+    table = np.ascontiguousarray(walk.T)
+    table.flags.writeable = False
+    return table
 
 
 @functools.cache

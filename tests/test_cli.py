@@ -265,6 +265,43 @@ class TestTest:
         assert rc == 2
 
 
+class TestParserReuse:
+    """main parses with one parser per process, and no call leaks into the next."""
+
+    def test_calls_see_their_own_arguments(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "--n-bits", "4", "--rounds", "1", "--bytes", "1"])
+        assert exc.value.code == 2
+        assert cli.main(["gen", "--n-bits", "4", "--rounds", "2", "--include-seed"]) == 0
+        capsys.readouterr()
+        assert cli.main(["gen", "--n-bits", "4", "--rounds", "2"]) == 0
+        expected = CiGenerator(
+            GeneratorConfig(func.negation(4), k=13, seed_state=0),
+            Xorshift64(ciprng.sources.DEFAULT_BIT_SEED),
+            Xorshift64(ciprng.sources.DEFAULT_COORD_SEED),
+        ).bit_stream(2)
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        calls = []
+        build_parser = cli.build_parser
+
+        def counted():
+            calls.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for argv in (["gen", "--n-bits", "4", "--rounds", "1"],
+                     ["search", "--n-bits", "2", "--max-mutations", "0"],
+                     ["graph", "--n-bits", "2"]):
+            assert cli.main(argv) == 0
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 def run_module(*args):
     """Run `python -m ciprng` in a child process that imports the package under test."""
     src = str(Path(ciprng.__file__).resolve().parents[1])

@@ -69,6 +69,15 @@ class TestNegation:
     def test_first_entry(self):
         assert func.negation(4).images[0] == 15
 
+    @pytest.mark.parametrize("n_bits", range(2, func.MAX_TABLE_BITS + 1))
+    def test_negation_and_identity_equal_checked_builds(self, n_bits):
+        # both skip VectorOfImages' checks; the checked build must agree
+        size = 1 << n_bits
+        for f, images in ((func.negation(n_bits), [(size - 1) ^ q for q in range(size)]),
+                          (func.identity(n_bits), list(range(size)))):
+            assert f == func.VectorOfImages(n_bits, images)
+            assert type(f.images) is tuple and all(type(v) is int for v in f.images)
+
     def test_rejects_width_below_2(self):
         with pytest.raises(ValueError):
             func.negation(1)

@@ -545,3 +545,41 @@ class TestPathBlocks:
         assert list(got) == [loop.round() for _ in range(1001)]
         TestFastPath.assert_same_end(bulk, loop)
         assert blocks == [1, 1000]
+
+
+class TestGroupTableCache:
+    """Generators over equal (f, k) share one read-only group table."""
+
+    def test_equal_functions_share_one_table(self):
+        images = tuple(random.Random(15).randrange(16) for _ in range(16))
+
+        def make(k):
+            config = GeneratorConfig(func.VectorOfImages(4, images), k=k, seed_state=3, strict=False)
+            return CiGenerator(config, Xorshift64(41), Xorshift64(43))
+
+        first, second, other_k = make(13), make(13), make(14)
+        assert first.config.f is not second.config.f
+        assert first._groups[0] is second._groups[0]
+        assert other_k._groups[0] is not first._groups[0]
+        table = first._groups[0]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = table[1]
+        loop = make(13)
+        expected = [loop.round() for _ in range(300)]
+        assert list(first.states(300)) == expected
+        assert list(second.states(300)) == expected
+
+    def test_mapping_matrix_runs_once_per_function_and_k(self, monkeypatch):
+        calls = []
+        mapping_matrix = generator.mapping_matrix
+
+        def counted(f):
+            calls.append(f)
+            return mapping_matrix(f)
+
+        monkeypatch.setattr(generator, "mapping_matrix", counted)
+        generator._group_table.cache_clear()
+        for _ in range(2):
+            CiGenerator(GeneratorConfig(func.negation(4), k=13, seed_state=0), Xorshift64(1), Xorshift64(2))
+        assert len(calls) == 1

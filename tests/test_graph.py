@@ -200,10 +200,12 @@ class TestReachabilityShortcut:
         assert verdict.scc_count == len(graph.strongly_connected_components(g))
 
     @pytest.mark.parametrize("n_bits", [2, 3, 4])
-    def test_matching_criterion_on_every_matching(self, n_bits):
+    def test_matching_criterion_on_every_matching(self, n_bits, scipy_calls):
         # the graph of a matching is Q_N minus the matching, plus loops; it is
         # strongly connected exactly when no direction is complete, and
-        # search_functions(require_chaos=True) drops exactly those matchings
+        # search_functions(require_chaos=True) drops exactly those matchings;
+        # the sweep settles every chaotic one within its cap (2N levels at
+        # most), so scipy sees the dropped ones alone
         depth = 1 << (n_bits - 1)
         chaotic, dropped = [], []
         for f in func.search_functions(n_bits, depth):
@@ -211,6 +213,7 @@ class TestReachabilityShortcut:
             assert verdict.strongly_connected != has_complete_direction(f)
             (chaotic if verdict.strongly_connected else dropped).append(f)
         assert len(chaotic) == {2: 7 - 2, 3: 108 - 3, 4: 41025 - 4}[n_bits]
+        assert len(scipy_calls) == len(dropped)
         assert list(func.search_functions(n_bits, depth, require_chaos=True)) == chaotic
         mask = (1 << n_bits) - 1
         assert {f.images for f in dropped} == {
@@ -275,6 +278,13 @@ class TestReachabilityShortcut:
         for images in KNOWN_CHAOTIC_VARIANTS:
             assert graph.is_strongly_connected(graph.build_graph(func.VectorOfImages(4, images)))
         assert scipy_calls == []
+
+    @pytest.mark.parametrize("n_bits", range(2, 9))
+    def test_deep_sweep_is_left_to_scipy(self, scipy_calls, n_bits):
+        # the Gray-code path takes 2^N - 1 levels; past 4N the sweep gives up
+        f, _ = gray_path(n_bits)
+        assert graph.is_strongly_connected(graph.build_graph(f))
+        assert (len(scipy_calls) >= 1) == ((1 << n_bits) - 1 > 4 * n_bits)
 
     def test_identity_runs_scipy(self, scipy_calls):
         assert not graph.is_strongly_connected(graph.build_graph(func.identity(3)))

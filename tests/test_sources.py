@@ -146,6 +146,23 @@ class TestMatrixTables:
             columns.append(x.state)
         assert np.array_equal(sources._jump_tables(log_steps), brute_byte_tables(columns))
 
+    def test_anchor_table(self):
+        table = sources._anchor_table()
+        assert table.shape == (64, sources._ANCHOR_CHUNK + 1)
+        assert not table.flags.writeable
+        # row i: the unit word 2^i every 64 steps, by single steps
+        for i in range(64):
+            x = sources.Xorshift64(1 << i)
+            walk = [1 << i]
+            for _ in range(7):
+                for _ in range(64):
+                    x.next_word()
+                walk.append(x.state)
+            assert [int(w) for w in table[i, :8]] == walk, i
+        # the last entry, 2^16 steps on, from words()
+        last = [int(sources.Xorshift64(1 << i).words(64 * sources._ANCHOR_CHUNK)[-1]) for i in range(64)]
+        assert [int(w) for w in table[:, -1]] == last
+
     def test_plane_tables(self):
         tables = sources._plane_tables()
         assert tables.shape == (sources._MAX_PLANES, 8, 256)
@@ -160,11 +177,31 @@ class TestMatrixTables:
             assert np.array_equal(tables[plane], brute_byte_tables(columns)), plane
 
 
+def test_anchor_gather_makes_no_walk(monkeypatch):
+    # the anchors come from one gather per chunk, not from a jump-ahead walk
+    # whose length grows with the count: only the plane products jump
+    sources._plane_tables(), sources._anchor_table()
+    calls = []
+    jump = sources._jump
+
+    def counted(tables, words):
+        calls.append(words.size)
+        return jump(tables, words)
+
+    monkeypatch.setattr(sources, "_jump", counted)
+    counts = []
+    for count in (4096, 1 << 18):
+        calls.clear()
+        sources.Xorshift64(9).coordinates(count, 4)
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
 # widths read from bit planes, and widths read from whole words
 PLANE_WIDTHS = (2, 4, 8, 16)
 WORD_WIDTHS = (3, 5, 12)
-# around each anchor stride and each doubling of the anchor walk, up to
-# past its steady jump of 8192 anchors
+# around each anchor stride and each power of two of anchors, up to past
+# 8192 anchors, so the anchor chunks of _ANCHOR_CHUNK end whole and partial
 PLANE_COUNTS = sorted(
     {0, 1, 63, 64, 65}
     | {64 * (1 << t) + d for t in range(15) for d in (-1, 1)}
