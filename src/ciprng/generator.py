@@ -8,14 +8,25 @@ of f(state).  The state after the m updates is the round output.
 `CiGenerator.round` is the definition.  `CiGenerator.states` gives the
 same outputs in bulk when both sources are Xorshift64 and one round fits
 a block: it draws a block's bits and coordinates as arrays, then runs
-every block's updates through one engine, fixed when the generator is
-built: a walk through a table of composed update groups (narrow N) or a
-scalar loop (wide N).  The table starts from f's mapping matrix as
-`func.mapping_matrix` builds it, once per (f, k) value: a bounded cache
-keeps the last _GROUP_TABLES tables, read-only, so generators over equal
-functions and k share one.  A bulk block holds at most _BLOCK_ROUNDS
-rounds and _BLOCK_UPDATES updates, so its arrays stay bounded at any k.
-Other generators run round() for every round; a failing source raises there.
+every block's updates through one of three engines, fixed when the
+generator is built:
+
+* "flips", when f is close to the negation, whose update at a digit
+  flips it: a block's states are the seed XOR a prefix XOR of its
+  masks, stepped past the few updates that f's defects hold;
+* "composed", for other f at narrow N: a walk through a table of
+  composed update groups, built from f's mapping matrix as
+  `func.mapping_matrix` gives it;
+* "scalar", for other f at wide N: one update at a time.
+
+Closeness is the defect rate of _defects, the share of updates that
+depart from the negation; at most _FLIP_RATE takes "flips".  Defects are
+built once per f value while an f of that value lives, and group tables
+once per (f, k) value, a bounded cache keeping the last _GROUP_TABLES.
+Both are read-only, so generators over equal functions share them.  A
+bulk block holds at most _BLOCK_ROUNDS rounds and _BLOCK_UPDATES
+updates, so its arrays stay bounded at any k.  Other generators run
+round() for every round; a failing source raises there.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from dataclasses import dataclass
 import functools
 from itertools import islice
 import operator
+import weakref
 
 import numpy as np
 
@@ -42,11 +54,31 @@ _BLOCK_UPDATES = 1 << 18
 # all: (N + 1) << N entries must fit, so N <= 10.  On a 2-core Xeon
 # (k = 3N + 1, min of 15 calls) 1 << 13 took N=4 states(65536) from 26-40
 # to 32-44 ms and N=10 to the slower scalar loop; 1 << 15 doubled N=2's
-# table build (states(64) 0.8 to 1.7 ms).  N=12 and 16 stay scalar.
+# table build (states(64) 0.8 to 1.7 ms).  Wider f, unless near the
+# negation, run the scalar loop.
 _GROUP_ENTRIES = 1 << 14
 # Group tables kept by _group_table's cache.  The benchmark's stream
 # workload cycles 9 functions at one k, and acceptance test 07 uses 8.
 _GROUP_TABLES = 16
+# Largest defect rate (see _defects) whose generators take "flips".  Each
+# held update costs "flips" about 10 us; on a 4096-round block at
+# k = 3N + 1 (2-core Xeon, min of 5 calls) it beat the N=8 group-table
+# walk up to a rate of about 6e-3 (3.9e-3: 6.3 against 7.8 ms; 7.8e-3:
+# 8.6 against 7.7 ms) and the N=12 scalar loop up to about 1e-2 (5.2e-3:
+# 12.6 against 20.7 ms; 1.04e-2: 18.8 against 18.1 ms).  1/1024 leaves a
+# margin of four over the nearer.
+_FLIP_RATE = 1 / 1024
+# Updates in the first window _flip_rounds checks after a held update, and
+# in the widest window, which bounds its temporaries (64 KiB each).
+_FLIP_WINDOW = 256
+_FLIP_WINDOW_MAX = 1 << 14
+# Held updates a "flips" block may meet, one per _HELD_SHARE updates and at
+# least 16, before it hands the rest of the block to the scalar loop.  The
+# rate averages over all states, but a trajectory can stay on defects: a
+# balanced N=16 f with a 2-state trap has rate 5.7e-5, yet seeded in the
+# trap it holds 15 updates of 16.  There, 2048 rounds took 12.5 ms against
+# 8.8 ms for the scalar loop alone.
+_HELD_SHARE = 256
 
 
 @dataclass(frozen=True)
@@ -89,11 +121,13 @@ class CiGenerator:
     its coordinates from prng2, and one object in both roles would
     interleave the two streams.
 
-    `path` names the one path states() runs, fixed here: "composed"
-    (a walk through the group table, when its one-update rows fit in
-    _GROUP_ENTRIES) or "scalar" (the scalar loop) over bulk draws when
-    both sources are exactly Xorshift64 and one round fits a block, else
-    "round" (round() one round at a time).  It changes no output.
+    `path` names the one path states() runs, fixed here.  Over bulk
+    draws, when both sources are exactly Xorshift64 and one round fits a
+    block, it is "flips" (prefix XORs of the masks, when f's defect rate
+    is at most _FLIP_RATE), else "composed" (a walk through the group
+    table, when its one-update rows fit in _GROUP_ENTRIES), else
+    "scalar" (the scalar loop).  Other generators take "round" (round()
+    one round at a time), and compute no defects.  It changes no output.
     """
 
     def __init__(self, config: GeneratorConfig, prng1: EntropySource, prng2: EntropySource):
@@ -109,6 +143,10 @@ class CiGenerator:
         bulk = type(prng1) is Xorshift64 and type(prng2) is Xorshift64
         if not bulk or config.k + 1 > _BLOCK_UPDATES:
             self.path = "round"
+            return
+        self._defects, rate = _defects(config.f)
+        if rate <= _FLIP_RATE:
+            self.path = "flips"
         elif (config.f.n_bits + 1) << config.f.n_bits <= _GROUP_ENTRIES:
             self.path = "composed"
             self._groups = _group_table(config.f, config.k)
@@ -145,7 +183,8 @@ class CiGenerator:
         if self.path == "round":
             return np.array([self.round() for _ in range(n_rounds)], dtype=np.int64)
         out = np.empty(n_rounds, dtype=np.int64)
-        run = self._compose_rounds if self.path == "composed" else self._scalar_rounds
+        engines = {"flips": self._flip_rounds, "composed": self._compose_rounds}
+        run = engines.get(self.path, self._scalar_rounds)
         # at large k fewer rounds fit a block
         size = min(_BLOCK_ROUNDS, _BLOCK_UPDATES // (self.config.k + 1))
         for start in range(0, n_rounds, size):
@@ -198,6 +237,52 @@ class CiGenerator:
             xs.append(x)
         out[:] = xs[per - 1 :: per]
 
+    def _flip_rounds(self, updates: np.ndarray, coords: np.ndarray, out: np.ndarray) -> None:
+        """Flip the masks' digits as the negation does, stepping only at held updates.
+
+        With no update held, the state after update j is x XOR prefix[j],
+        the XOR of the block's masks up to j.  An update is held when
+        d(state) & mask != 0 (see _defects): the state stays, so from
+        there on every state is the prefix's with that mask XORed in.  A
+        window of updates finds its first held one in one gather of d; a
+        window holding none makes the next twice as long.  Past the
+        block's budget of held updates, the rest of the block, from the
+        current round on, goes to the scalar loop.
+        """
+        n = self.config.f.n_bits
+        defects = self._defects
+        weights = np.array([0] + [1 << (n - s) for s in range(1, n + 1)], dtype=np.int32)
+        prefix = weights[coords]
+        np.bitwise_xor.accumulate(prefix, out=prefix)
+        ends = np.cumsum(updates) - 1  # each round's last update
+        budget = max(16, coords.size // _HELD_SHARE)
+        x0 = c = self.x  # the state after update j is prefix[j] ^ c
+        held = []
+        pos, size = 0, _FLIP_WINDOW
+        while pos < coords.size and len(held) <= budget:
+            stop = pos + size
+            masks = weights[coords[pos:stop]]
+            before = prefix[pos:stop] ^ masks
+            before ^= c
+            hit = np.flatnonzero(defects[before] & masks)
+            if hit.size:
+                i = int(hit[0])
+                held.append(pos + i)
+                c ^= int(masks[i])
+                pos, size = pos + i + 1, _FLIP_WINDOW
+            else:
+                pos, size = stop, min(2 * size, _FLIP_WINDOW_MAX)
+        # a held update XORs its mask into every later state
+        undone = np.zeros(len(held) + 1, dtype=np.int32)
+        np.bitwise_xor.accumulate(weights[coords[held]], out=undone[1:])
+        out[:] = prefix[ends] ^ undone[np.searchsorted(held, ends, side="right")]
+        out ^= x0
+        if pos < coords.size:
+            r = int(np.searchsorted(ends, pos))  # rounds before r ended before pos
+            start = int(ends[r - 1]) + 1 if r else 0
+            self.x = int(out[r - 1]) if r else x0
+            self._scalar_rounds(updates[r:], coords[start:], out[r:])
+
     def bit_stream(self, n_rounds: int, include_seed: bool = False) -> str:
         """Big-endian bit patterns of n_rounds round outputs, concatenated.
 
@@ -217,6 +302,33 @@ class CiGenerator:
         n_rounds = -(-8 * n_bytes // n)  # ceil: enough rounds, tail bits dropped
         bits = bitops.state_bits(self.states(n_rounds), n)
         return bitops.pack_bits(bits[: 8 * n_bytes])
+
+
+# _defects' results for every f that something else still holds.  The keys
+# are weak because an lru_cache entry keeps its f alive, 2.4 MiB at N=16
+# (a tuple of 65536 ints): holding the functions that the cli parses, an
+# lru_cache raised the benchmark's wide peak RSS by about 3 MiB.
+_DEFECT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _defects(f: VectorOfImages) -> tuple[np.ndarray, float]:
+    """f's departures from the negation, and their rate.
+
+    d(x) = f(x) XOR (2^N - 1 - x) holds the digits that an update at x
+    keeps instead of flipping: an update with mask w is held, the state
+    staying, exactly when d(x) & w != 0.  The rate is the share of held
+    updates over uniform states, sum of popcount d(x) over N 2^N, 0 for
+    the negation.  They are computed once per f value while some f of
+    that value lives, and the array is read-only, being shared by every
+    generator over an equal f.
+    """
+    known = _DEFECT_TABLES.get(f)
+    if known is None:
+        d = np.array(f.images, dtype=np.int32) ^ np.arange(f.mask, -1, -1, dtype=np.int32)
+        d.flags.writeable = False
+        held = sum(np.count_nonzero(d & (1 << b)) for b in range(f.n_bits))
+        known = _DEFECT_TABLES[f] = d, int(held) / (f.n_bits << f.n_bits)
+    return known
 
 
 @functools.lru_cache(maxsize=_GROUP_TABLES)

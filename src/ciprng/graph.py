@@ -170,12 +170,35 @@ def export_dot(g: IterationGraph) -> str:
 
     Output is deterministic: vertices ascending, then arcs by (vertex,
     label) ascending.
+
+    Every vertex's lines have one length, its arc labels being 1..N, so
+    the text is built as one byte array: a per-vertex template of the
+    vertex lines, then one of the arc lines, each tiled over the
+    vertices, with the '0'/'1' digits of every tail and head written
+    into their columns.
     """
     n = g.n_bits
-    names = [f'"{x:0{n}b}"' for x in range(g.n_vertices)]
-    lines = ["digraph iteration_graph {"]
-    lines += [f"  {name};" for name in names]
-    for name, heads in zip(names, g.matrix.T.tolist()):
-        lines += [f"  {name} -> {names[h]} [label={label}];" for label, h in enumerate(heads, 1)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # '0'/'1' codes of every vertex's n digits, most significant first
+    names = ((np.arange(g.n_vertices)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    names += ord("0")
+    blank = "0" * n
+    # a tail's column follows '  "', a head's '  "<tail>" -> "'; a column
+    # holds the names of the vertices given, or with None of the vertex itself
+    arcs, columns = "", []
+    for label, heads in enumerate(g.matrix, 1):
+        columns += [(len(arcs) + 3, None), (len(arcs) + n + 9, heads)]
+        arcs += f'  "{blank}" -> "{blank}" [label={label}];\n'
+    vertex = f'  "{blank}";\n'
+    sections = [(vertex, [(3, None)]), (arcs, columns)]
+    head, tail = b"digraph iteration_graph {\n", b"}\n"
+    text = np.empty(len(head) + g.n_vertices * (len(vertex) + len(arcs)) + len(tail), dtype=np.uint8)
+    text[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    at = len(head)
+    for template, cells in sections:
+        block = text[at : at + g.n_vertices * len(template)].reshape(g.n_vertices, -1)
+        block[:] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+        for column, vertices in cells:
+            block[:, column : column + n] = names if vertices is None else names[vertices]
+        at += block.size
+    text[at:] = np.frombuffer(tail, dtype=np.uint8)
+    return str(text, "ascii")

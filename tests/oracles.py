@@ -141,3 +141,15 @@ def expansion_bits(constant, count):
     mpmath.mp.prec = count + 64
     _, mantissa, _, _ = mpmath.mpf(constant)._mpf_
     return bin(mantissa)[2:][:count]
+
+
+def dot_lines(g):
+    """An iteration graph's DOT text, one f-string per vertex and per arc."""
+    n = g.n_bits
+    names = [f'"{x:0{n}b}"' for x in range(g.n_vertices)]
+    lines = ["digraph iteration_graph {"]
+    lines += [f"  {name};" for name in names]
+    for name, heads in zip(names, g.matrix.T.tolist()):
+        lines += [f"  {name} -> {names[h]} [label={label}];" for label, h in enumerate(heads, 1)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

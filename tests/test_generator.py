@@ -1,5 +1,9 @@
+import itertools
 import random
 import re
+import tracemalloc
+
+from hypothesis import given, strategies as st
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from ciprng.sources import EntropySource, ScriptedSource, Xorshift64
 
 from oracles import interpret_updates
 from reference_data import (
+    KNOWN_CHAOTIC_VARIANTS,
     TRACE_BINARY_WITH_SEED,
     TRACE_BITS,
     TRACE_COORDS,
@@ -237,9 +242,10 @@ class TestFastPath:
     def test_states_match_any_k(self, k):
         # with k = 255 and 300 a round counts more updates than a uint8 holds
         for n_bits in (3, 6):
-            bulk, loop = self.make_pair(func.negation(n_bits).images, n_bits, k=k)
-            assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
-            self.assert_same_end(bulk, loop)
+            for f in (func.negation(n_bits), dense(n_bits)):
+                bulk, loop = self.make_pair(f.images, n_bits, k=k)
+                assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
+                self.assert_same_end(bulk, loop)
 
     class MinimalSource(EntropySource):
         """Only the single draws of the interface."""
@@ -404,13 +410,55 @@ class TestSourceAliasing:
 
 
 def composed(n_bits):
-    """Whether a bulk generator of width n_bits walks the group table."""
+    """Whether a bulk generator of width n_bits over a dense f walks the group table."""
     return (n_bits + 1) << n_bits <= generator._GROUP_ENTRIES
+
+
+def dense(n_bits):
+    """A function far from the negation: a published variant at N=4, else random."""
+    if n_bits == 4:
+        return func.VectorOfImages(4, KNOWN_CHAOTIC_VARIANTS[2])
+    rnd = random.Random(n_bits)
+    return func.VectorOfImages(n_bits, [rnd.randrange(1 << n_bits) for _ in range(1 << n_bits)])
+
+
+def paired_edits(n_bits, edits, seed=0):
+    """The negation after `edits` seeded paired edits on disjoint pairs."""
+    rnd = random.Random(seed)
+    f = func.negation(n_bits)
+    used = set()
+    while len(used) < 2 * edits:
+        q = rnd.randrange(1 << n_bits)
+        i = rnd.randint(1, n_bits)
+        if not {q, q ^ (1 << (i - 1))} & used:
+            used |= {q, q ^ (1 << (i - 1))}
+            f = func.mutate_pair(f, q + 1, i)
+    return f
+
+
+def trap(n_bits):
+    """A balanced, non-chaotic f with a 2-state trap {0, 1}.
+
+    From 0 and 1 only an update of coordinate N moves, to the other;
+    from 0 ^ w and 1 ^ w the update of digit w is held instead, so that
+    every row of the mapping matrix stays a permutation.  Every other
+    state is the negation's.
+    """
+    mask = (1 << n_bits) - 1
+    images = list(func.negation(n_bits).images)
+    images[0], images[1] = 1, 0
+    for b in range(1, n_bits):
+        images[1 << b] = mask
+        images[1 ^ (1 << b)] = mask ^ 1
+    return func.VectorOfImages(n_bits, images)
+
+
+ENGINES = {"flips": "_flip_rounds", "composed": "_compose_rounds", "scalar": "_scalar_rounds"}
 
 
 def engine_blocks(gen):
     """Sizes of the blocks gen.states() sends to its bulk engine from now on."""
-    name = "_compose_rounds" if gen.path == "composed" else "_scalar_rounds"
+    name = ENGINES[gen.path]
     engine = getattr(gen, name)
     sizes = []
 
@@ -430,33 +478,37 @@ class TestBlockUpdateCap:
         # k = 3N + 1 updates and one more for b: 100 rounds fill the cap
         k = 3 * n_bits + 1
         monkeypatch.setattr(generator, "_BLOCK_UPDATES", 100 * (k + 1))
-        bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=k)
-        assert bulk.path == ("composed" if composed(n_bits) else "scalar")
-        blocks = engine_blocks(bulk)
-        assert list(bulk.states(1050)) == [loop.round() for _ in range(1050)]
-        TestFastPath.assert_same_end(bulk, loop)
-        # ten full blocks, and the last 50 rounds in bulk too
-        assert blocks == [100] * 10 + [50]
+        wide = "composed" if composed(n_bits) else "scalar"
+        for f, path in ((dense(n_bits), wide), (func.negation(n_bits), "flips")):
+            bulk, loop = TestFastPath.make_pair(f.images, n_bits, k=k)
+            assert bulk.path == path
+            blocks = engine_blocks(bulk)
+            assert list(bulk.states(1050)) == [loop.round() for _ in range(1050)]
+            TestFastPath.assert_same_end(bulk, loop)
+            # ten full blocks, and the last 50 rounds in bulk too
+            assert blocks == [100] * 10 + [50]
 
     def test_short_capped_blocks_run_bulk(self, monkeypatch):
         # a cap of 63 rounds: every block, the short tail too, runs in bulk
         k = 13
         monkeypatch.setattr(generator, "_BLOCK_UPDATES", 63 * (k + 1))
-        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=k)
-        blocks = engine_blocks(bulk)
-        assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
-        TestFastPath.assert_same_end(bulk, loop)
-        assert blocks == [63] * 4 + [48]
+        for f in (dense(4), func.negation(4)):
+            bulk, loop = TestFastPath.make_pair(f.images, 4, k=k)
+            blocks = engine_blocks(bulk)
+            assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
+            TestFastPath.assert_same_end(bulk, loop)
+            assert blocks == [63] * 4 + [48]
 
     def test_cap_of_one_round_runs_bulk(self, monkeypatch):
         # k + 1 updates exactly fill the cap: one round a block
         monkeypatch.setattr(generator, "_BLOCK_UPDATES", 14)
-        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
-        assert bulk.path == "composed"
-        blocks = engine_blocks(bulk)
-        assert list(bulk.states(5)) == [loop.round() for _ in range(5)]
-        TestFastPath.assert_same_end(bulk, loop)
-        assert blocks == [1] * 5
+        for f, path in ((dense(4), "composed"), (func.negation(4), "flips")):
+            bulk, loop = TestFastPath.make_pair(f.images, 4, k=13)
+            assert bulk.path == path
+            blocks = engine_blocks(bulk)
+            assert list(bulk.states(5)) == [loop.round() for _ in range(5)]
+            TestFastPath.assert_same_end(bulk, loop)
+            assert blocks == [1] * 5
 
     def test_cap_under_one_round_still_makes_progress(self, monkeypatch):
         # k + 1 updates exceed the cap: no block holds a round, so round() runs
@@ -478,7 +530,7 @@ class TestPathBlocks:
     """A generator fixes the one path states() runs when it is built."""
 
     def test_long_narrow_call_is_composed(self):
-        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        bulk, loop = TestFastPath.make_pair(dense(4).images, 4, k=13)
         assert bulk.path == "composed"
         blocks = engine_blocks(bulk)
         n_rounds = generator._BLOCK_ROUNDS + 100
@@ -486,19 +538,29 @@ class TestPathBlocks:
         assert blocks == [generator._BLOCK_ROUNDS, 100]
 
     def test_wide_call_is_scalar(self):
-        bulk, loop = TestFastPath.make_pair(func.negation(12).images, 12, k=37)
+        bulk, loop = TestFastPath.make_pair(dense(12).images, 12, k=37)
         assert bulk.path == "scalar"
         blocks = engine_blocks(bulk)
         assert list(bulk.states(200)) == [loop.round() for _ in range(200)]
         assert blocks == [200]
 
-    def test_short_calls_run_bulk(self):
-        bulk, loop = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+    @pytest.mark.parametrize("n_bits", [4, 12])
+    def test_negation_call_flips(self, n_bits):
+        bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=3 * n_bits + 1)
+        assert bulk.path == "flips"
         blocks = engine_blocks(bulk)
-        for n_rounds in (1, 7, 63):
-            assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
-        TestFastPath.assert_same_end(bulk, loop)
-        assert blocks == [1, 7, 63]
+        n_rounds = generator._BLOCK_ROUNDS + 100
+        assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
+        assert blocks == [generator._BLOCK_ROUNDS, 100]
+
+    def test_short_calls_run_bulk(self):
+        for f in (dense(4), func.negation(4)):
+            bulk, loop = TestFastPath.make_pair(f.images, 4, k=13)
+            blocks = engine_blocks(bulk)
+            for n_rounds in (1, 7, 63):
+                assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
+            TestFastPath.assert_same_end(bulk, loop)
+            assert blocks == [1, 7, 63]
 
     def test_failure_replay_runs_round(self):
         bits, coords = TestScriptedBulk.scripts(300)
@@ -538,13 +600,15 @@ class TestPathBlocks:
 
     @pytest.mark.parametrize("n_bits", [4, 5, 10, 11, 12, 16])
     def test_xorshift_sources_run_no_round_blocks(self, n_bits):
-        bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=3 * n_bits + 1)
-        assert bulk.path == ("composed" if composed(n_bits) else "scalar")
-        blocks = engine_blocks(bulk)
-        got = np.concatenate([bulk.states(1), bulk.states(1000)])
-        assert list(got) == [loop.round() for _ in range(1001)]
-        TestFastPath.assert_same_end(bulk, loop)
-        assert blocks == [1, 1000]
+        wide = "composed" if composed(n_bits) else "scalar"
+        for f, path in ((dense(n_bits), wide), (func.negation(n_bits), "flips")):
+            bulk, loop = TestFastPath.make_pair(f.images, n_bits, k=3 * n_bits + 1)
+            assert bulk.path == path
+            blocks = engine_blocks(bulk)
+            got = np.concatenate([bulk.states(1), bulk.states(1000)])
+            assert list(got) == [loop.round() for _ in range(1001)]
+            TestFastPath.assert_same_end(bulk, loop)
+            assert blocks == [1, 1000]
 
 
 class TestGroupTableCache:
@@ -581,5 +645,179 @@ class TestGroupTableCache:
         monkeypatch.setattr(generator, "mapping_matrix", counted)
         generator._group_table.cache_clear()
         for _ in range(2):
-            CiGenerator(GeneratorConfig(func.negation(4), k=13, seed_state=0), Xorshift64(1), Xorshift64(2))
+            CiGenerator(GeneratorConfig(dense(4), k=13, seed_state=0), Xorshift64(1), Xorshift64(2))
         assert len(calls) == 1
+
+
+class TestFlipEngine:
+    """Generators near the negation ("flips") equal the round loop and the
+    definitional interpreter, wherever their updates are held."""
+
+    @staticmethod
+    def draws(n_bits, k, n_rounds, s1=314159, s2=271828):
+        """The update counts and coordinates of the first n_rounds rounds of make_pair's sources."""
+        p1, p2 = Xorshift64(s1), Xorshift64(s2)
+        updates = [p1.next_bit() + k for _ in range(n_rounds)]
+        return updates, [p2.next_coordinate(n_bits) for _ in range(sum(updates))]
+
+    @staticmethod
+    def round_ends(images, n_bits, x0, updates, coords):
+        trace = interpret_updates(images, n_bits, x0, coords)
+        return [trace[e - 1] for e in itertools.accumulate(updates)]
+
+    @pytest.mark.parametrize("k", ["1", "13", "3N+1", "255", "300"])
+    @pytest.mark.parametrize("n_bits", [2, 3, 4, 5, 8, 11, 12, 16])
+    def test_matches_round_loop_and_interpreter(self, monkeypatch, n_bits, k):
+        # every function runs "flips" here, dense ones too, so the hand-off
+        # to the scalar loop is covered as well
+        monkeypatch.setattr(generator, "_FLIP_RATE", 1.0)
+        k = 3 * n_bits + 1 if k == "3N+1" else int(k)
+        n_rounds = max(4, 3000 // (k + 1))
+        updates, coords = self.draws(n_bits, k, n_rounds)
+        many = paired_edits(n_bits, min(16, 1 << (n_bits - 2)), seed=k)
+        for f in (func.negation(n_bits), paired_edits(n_bits, 1, seed=n_bits), many):
+            x0 = (5 * k) % f.size
+            bulk, loop = TestFastPath.make_pair(f.images, n_bits, k=k, seed_state=x0)
+            assert bulk.path == "flips"
+            got = list(bulk.states(n_rounds))
+            assert got == [loop.round() for _ in range(n_rounds)]
+            assert got == self.round_ends(f.images, n_bits, x0, updates, coords)
+            TestFastPath.assert_same_end(bulk, loop)
+
+    def test_chunked_calls_equal_one_call(self, monkeypatch):
+        # the N=4 edit is dense: it runs "flips" only here, handing off
+        monkeypatch.setattr(generator, "_FLIP_RATE", 1 / 32)
+        short = [1, 7, 63, 64, 65]
+        whole = [generator._BLOCK_ROUNDS - 1, generator._BLOCK_ROUNDS + 1]
+        cases = [(n_bits, 3 * n_bits + 1, short + whole) for n_bits in (4, 12, 16)]
+        cases += [(12, 5000, short), (16, 5000, short)]
+        for n_bits, k, chunks in cases:
+            for f in (func.negation(n_bits), paired_edits(n_bits, 16 if n_bits > 4 else 1)):
+                bulk, loop = TestFastPath.make_pair(f.images, n_bits, k=k)
+                one, _ = TestFastPath.make_pair(f.images, n_bits, k=k)
+                assert bulk.path == "flips", (n_bits, k)
+                combined = np.concatenate([bulk.states(c) for c in chunks])
+                assert list(combined) == [loop.round() for _ in range(sum(chunks))], (n_bits, k)
+                assert list(combined) == list(one.states(sum(chunks))), (n_bits, k)
+                TestFastPath.assert_same_end(bulk, loop)
+
+    @pytest.mark.parametrize("where", ["first", "window end", "window start", "second window end",
+                                       "third window start", "last"])
+    def test_held_update_positions(self, where):
+        # A Gray-code walk visits no state twice, so a defect at the state
+        # before update p holds update p and no other.
+        n_bits, k = 16, 49
+        rnd = random.Random(3)
+        updates = [k + rnd.randint(0, 1) for _ in range(20)]
+        size = sum(updates)
+        window = generator._FLIP_WINDOW
+        p = {"first": 0, "window end": window - 1, "window start": window,
+             "second window end": 3 * window - 1, "third window start": 3 * window, "last": size - 1}[where]
+        coords = [n_bits - ((t + 1) & -(t + 1)).bit_length() + 1 for t in range(size)]
+        negation = func.negation(n_bits)
+        x0 = 0b1011001110001111
+        before = ([x0] + interpret_updates(negation.images, n_bits, x0, coords))[p]
+        images = list(negation.images)
+        images[before] ^= 1 << (n_bits - coords[p])
+        f = func.VectorOfImages(n_bits, images)
+        trace = interpret_updates(f.images, n_bits, x0, coords)
+        assert [t for t in range(size) if trace[t] == ([x0] + trace)[t]] == [p]
+        gen = CiGenerator(GeneratorConfig(f, k=k, seed_state=x0), Xorshift64(1), Xorshift64(2))
+        assert gen.path == "flips"
+        out = np.empty(len(updates), dtype=np.int64)
+        gen._flip_rounds(np.array(updates), np.array(coords), out)
+        assert list(out) == self.round_ends(f.images, n_bits, x0, updates, coords)
+
+    @pytest.mark.parametrize("seed_state, handed_off", [(0, True), (1, True), (0b0110, False), (40000, False)])
+    def test_trapped_seed_hands_off_to_scalar_loop(self, seed_state, handed_off):
+        # inside the trap 15 updates in 16 are held; outside, the trap and
+        # the defects around it are never reached
+        f = trap(16)
+        assert func.is_balanced(f) and generator._defects(f)[1] <= generator._FLIP_RATE
+        bulk, loop = TestFastPath.make_pair(f.images, 16, k=49, seed_state=seed_state)
+        assert bulk.path == "flips"
+        scalar = []
+        run_scalar = bulk._scalar_rounds
+
+        def counted(updates, coords, out):
+            scalar.append(out.size)
+            run_scalar(updates, coords, out)
+
+        bulk._scalar_rounds = counted
+        assert list(bulk.states(2048)) == [loop.round() for _ in range(2048)]
+        TestFastPath.assert_same_end(bulk, loop)
+        if handed_off:
+            # the budget of held updates is spent within the first rounds
+            assert len(scalar) == 1 and 0 < scalar[0] < 2048
+        else:
+            assert scalar == []
+
+    @given(
+        n_bits=st.integers(2, 6),
+        data=st.data(),
+    )
+    def test_sparse_defects_match_interpreter(self, n_bits, data):
+        size = 1 << n_bits
+        defects = data.draw(st.dictionaries(st.integers(0, size - 1), st.integers(1, size - 1), max_size=4))
+        updates = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=30))
+        coords = data.draw(st.lists(st.integers(1, n_bits), min_size=sum(updates), max_size=sum(updates)))
+        x0 = data.draw(st.integers(0, size - 1))
+        images = [(size - 1 - x) ^ defects.get(x, 0) for x in range(size)]
+        config = GeneratorConfig(func.VectorOfImages(n_bits, images), k=1, seed_state=x0, strict=False)
+        gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))
+        out = np.empty(len(updates), dtype=np.int64)
+        gen._flip_rounds(np.array(updates), np.array(coords), out)
+        assert list(out) == self.round_ends(images, n_bits, x0, updates, coords)
+
+    def test_rate_is_mean_popcount_of_defects(self):
+        fs = [func.negation(5), func.identity(5), paired_edits(8, 1), paired_edits(12, 16), trap(6), dense(7)]
+        fs += [func.VectorOfImages(4, v) for v in KNOWN_CHAOTIC_VARIANTS]
+        for f in fs:
+            mask = f.mask
+            d = [f.images[x] ^ (mask - x) for x in range(f.size)]
+            table, rate = generator._defects(f)
+            assert list(table) == d
+            assert rate == sum(bin(v).count("1") for v in d) / (f.n_bits * f.size)
+            assert not table.flags.writeable
+
+    def test_paths(self):
+        cases = [(func.negation(n), "flips") for n in (2, 4, 12, 16)]
+        cases += [(func.VectorOfImages(4, v), "composed") for v in KNOWN_CHAOTIC_VARIANTS]
+        cases += [(paired_edits(4, 1), "composed"), (paired_edits(8, 1), "flips")]
+        cases += [(paired_edits(8, 2), "composed")]
+        cases += [(paired_edits(12, 16), "flips"), (paired_edits(16, 16), "flips"), (trap(16), "flips")]
+        cases += [(paired_edits(12, 64), "scalar"), (dense(11), "scalar"), (dense(16), "scalar")]
+        for f, path in cases:
+            config = GeneratorConfig(f, k=3 * f.n_bits + 1, seed_state=0)
+            gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))
+            assert gen.path == path, (f.n_bits, generator._defects(f)[1])
+
+    def test_equal_functions_share_one_defect_table(self):
+        first, second = paired_edits(12, 16), paired_edits(12, 16)
+        assert first is not second
+        a = CiGenerator(GeneratorConfig(first, k=37, seed_state=0), Xorshift64(1), Xorshift64(2))
+        b = CiGenerator(GeneratorConfig(second, k=40, seed_state=0), Xorshift64(1), Xorshift64(2))
+        assert a._defects is b._defects
+
+    def test_round_path_computes_no_defects(self, monkeypatch):
+        monkeypatch.setattr(generator, "_defects", None)
+        gen = trace_generator()
+        assert gen.path == "round" and not hasattr(gen, "_defects")
+
+    def test_block_peaks_no_higher_than_scalar_loop(self, monkeypatch):
+        # one full block at N=16, k=49: 4096 rounds, about 203k updates
+        def peak(rate):
+            monkeypatch.setattr(generator, "_FLIP_RATE", rate)
+            config = GeneratorConfig(func.negation(16), k=49, seed_state=0)
+            gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))
+            gen.states(1)  # the sources' cached tables
+            tracemalloc.start()
+            try:
+                gen.states(generator._BLOCK_ROUNDS)
+                return gen.path, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        flips, scalar = peak(generator._FLIP_RATE), peak(-1.0)
+        assert (flips[0], scalar[0]) == ("flips", "scalar")
+        assert flips[1] <= scalar[1]

@@ -13,7 +13,7 @@ import ciprng
 from ciprng import func, graph
 from ciprng.errors import ResourceLimitError
 
-from oracles import bfs_reachable, bfs_sccs
+from oracles import bfs_reachable, bfs_sccs, dot_lines
 from reference_data import KNOWN_CHAOTIC_VARIANTS
 
 
@@ -343,3 +343,20 @@ class TestExportDot:
     def test_deterministic(self):
         g = graph.build_graph(func.negation(3))
         assert graph.export_dot(g) == graph.export_dot(g)
+
+    @pytest.mark.parametrize("n_bits", range(2, 9))
+    def test_matches_line_oracle(self, n_bits):
+        rnd = random.Random(n_bits)
+        size = 1 << n_bits
+        variant = func.mutate_pair(func.negation(n_bits), rnd.randrange(size) + 1, rnd.randint(1, n_bits))
+        images = tuple(rnd.randrange(size) for _ in range(size))
+        fs = [func.negation(n_bits), variant, func.VectorOfImages(n_bits, images)]
+        if n_bits == 4:
+            fs += [func.VectorOfImages(4, v) for v in KNOWN_CHAOTIC_VARIANTS]
+        for f in fs:
+            g = graph.build_graph(f)
+            assert graph.export_dot(g) == dot_lines(g)
+
+    def test_matches_line_oracle_at_twelve_bits(self):
+        g = graph.build_graph(func.mutate_pair(func.negation(12), 1000, 5))
+        assert graph.export_dot(g) == dot_lines(g)
