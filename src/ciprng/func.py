@@ -13,16 +13,22 @@ Conventions used across the package:
   (j = q + 1) by the operations that edit pairs of entries, matching the
   usual statement of the balance rule.
 
+* Every whole-table computation reads f's images as `f.array`, one
+  read-only int32 array per VectorOfImages, built on first use;
+  `parse_function` hands over the array it parsed.
+
 The mapping matrix of f is the N x 2^N table whose cell (p, q) is the
 state reached from q by one single-coordinate update: coordinate p
 alone is replaced by coordinate p of f(q).  `mapping_matrix` is its one
 definition and its one form, an (N, 2^N) int32 numpy array holding cell
-(p, q) at [p - 1, q]; `is_balanced`, the iteration graph and the
-generator's composed update tables all read it.
+(p, q) at [p - 1, q]; the iteration graph and the generator's composed
+update tables read it.
 
 A function is *balanced* when every row of its mapping matrix is a
 permutation of [0, 2^N - 1]; single-coordinate updates then preserve a
-uniform state distribution.
+uniform state distribution.  Cell (p, q) is q or q XOR w, w = 2^(N-p)
+being row p's digit, so `is_balanced` checks each row pair by pair
+without building the matrix.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ class VectorOfImages:
     `images` may be given as any sequence of integers, numpy arrays
     included; it is stored as a tuple of Python ints, so equal maps
     compare equal and hash alike.  A non-integer image is a TypeError.
+
+    `array` holds the same images as a read-only int32 numpy array.  It
+    is built on first use and then kept; it is not a dataclass field, so
+    equality, hashing and repr see `images` alone.
     """
 
     n_bits: int
@@ -80,6 +90,13 @@ class VectorOfImages:
     def coordinate(self, value: int, p: int) -> int:
         """Digit p (in [1, N], weight 2^(N-p)) of `value`."""
         return (value >> (self.n_bits - p)) & 1
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The images as a read-only int32 array, built on first use."""
+        array = np.array(self.images, dtype=np.int32)
+        array.flags.writeable = False
+        return array
 
 
 @dataclass(frozen=True)
@@ -143,7 +160,7 @@ def mapping_matrix(f: VectorOfImages) -> np.ndarray:
     the single-coordinate update over a whole table.
     """
     states, weights = _axes(f.n_bits)
-    table = (np.array(f.images, dtype=np.int32) ^ states) & weights
+    table = (f.array ^ states) & weights
     table ^= states  # in place, to allocate one (N, 2^N) array rather than two
     return table
 
@@ -151,23 +168,26 @@ def mapping_matrix(f: VectorOfImages) -> np.ndarray:
 def is_balanced(f: VectorOfImages) -> BalanceVerdict:
     """Definitional balance check: every mapping-matrix row is a permutation.
 
-    The cells lie in [0, 2^N - 1], so a row is a permutation exactly
-    when, sorted, it reads 0, 1, ..., 2^N - 1.  The witness of an
-    unbalanced f is the first row that does not, with the first value
-    met twice in it in q order.
+    Cell (p, q) is q or q XOR w, w = 2^(N-p) being row p's digit, so row
+    p maps each pair (q, q XOR w) into itself.  It is a permutation
+    exactly when it maps every pair onto itself, that is when bit w of f
+    differs between the two members of every pair.  In a pair where it
+    does not, both members reach one state, met first at the member
+    with bit w clear and again at the one with bit w set.  The witness
+    of an unbalanced f is the first such row, with the state reached
+    from the smallest pair member that has bit w set: the first value
+    met twice in the row in q order.
     """
-    states, _ = _axes(f.n_bits)
-    table = mapping_matrix(f)
-    table.sort(axis=1)
-    wrong = table != states
-    if not np.count_nonzero(wrong):
-        return BalanceVerdict(True)
-    p = int(wrong.any(axis=1).argmax())
-    seen = bytearray(f.size)
-    for cell in mapping_matrix(f)[p].tolist():
-        if seen[cell]:
-            return BalanceVerdict(False, (p + 1, cell))
-        seen[cell] = 1
+    n = f.n_bits
+    for p in range(1, n + 1):
+        w = 1 << (n - p)
+        pairs = f.array.reshape(-1, 2, w)  # [b, 0, r] and [b, 1, r]: q = 2wb + r and q + w
+        flips = (pairs[:, 0] ^ pairs[:, 1]) & w
+        if np.count_nonzero(flips) < flips.size:
+            i = int(flips.argmin())  # the first pair, in q order, that agrees in bit w
+            q = i + (i // w + 1) * w
+            return BalanceVerdict(False, (p, q ^ ((f.images[q] ^ q) & w)))
+    return BalanceVerdict(True)
 
 
 def balance_rule_check(f: VectorOfImages) -> BalanceVerdict:
@@ -180,25 +200,23 @@ def balance_rule_check(f: VectorOfImages) -> BalanceVerdict:
     must hold 2^N - j.  Entries further than one bit from the negation's
     are outside the rule's scope and are rejected.
 
+    With d = f(q) XOR (2^N - 1 - q), entry q breaks the rule when d has
+    more than one bit, or when its partner q XOR d does not hold q's
+    negated image (an unedited entry is its own partner).  The witness
+    is the first such q, with the row updated by the lowest bit of d.
+
     Acceptance implies balance; `is_balanced` remains the definitional
     oracle for arbitrary functions.
     """
-    n = f.n_bits
-    mask = f.mask
-    images = f.images
-    for q in range(f.size):
-        want = mask ^ q  # the negation's image at q
-        diff = images[q] ^ want
-        if diff == 0:
-            continue
-        if diff & (diff - 1):
-            # modified in more than one bit: not a single-bit paired edit
-            return BalanceVerdict(False, (_row_of_weight(n, diff & -diff), q))
-        partner = q ^ diff
-        # the edit at q forces the partner entry to take q's negated image
-        if images[partner] != want:
-            return BalanceVerdict(False, (_row_of_weight(n, diff), q))
-    return BalanceVerdict(True)
+    states, _ = _axes(f.n_bits)
+    negated = states ^ f.mask  # the negation's images
+    diff = f.array ^ negated
+    broken = np.flatnonzero((diff & (diff - 1)) | (f.array[states ^ diff] ^ negated))
+    if not broken.size:
+        return BalanceVerdict(True)
+    q = int(broken[0])
+    d = int(diff[q])
+    return BalanceVerdict(False, (_row_of_weight(f.n_bits, d & -d), q))
 
 
 def _row_of_weight(n_bits: int, w: int) -> int:
@@ -241,15 +259,19 @@ def mutate_pair(f: VectorOfImages, j: int, i: int) -> VectorOfImages:
     return _unchecked(n, tuple(imgs))  # a swap keeps f's images valid
 
 
-def _unchecked(n_bits: int, images: tuple[int, ...]) -> VectorOfImages:
+def _unchecked(n_bits: int, images: tuple[int, ...], array: Optional[np.ndarray] = None) -> VectorOfImages:
     """A VectorOfImages from a tuple of ints already known to be valid.
 
     Skips the conversion and range check of `VectorOfImages.__post_init__`,
-    which cost milliseconds at N=16.
+    which cost milliseconds at N=16.  An int32 `array` of the same images
+    becomes f.array, made read-only.
     """
     f = object.__new__(VectorOfImages)
     object.__setattr__(f, "n_bits", n_bits)
     object.__setattr__(f, "images", images)
+    if array is not None:
+        array.flags.writeable = False
+        object.__setattr__(f, "array", array)
     return f
 
 
@@ -329,6 +351,12 @@ def search_functions(
 # Function file format: line 1 holds N, line 2 the 2^N images as decimal
 # integers separated by single spaces, newline-terminated.
 
+# The bytes of an images line made ready for one numpy parse: ASCII digits
+# stay, the whitespace that str.split() and \S+ see within a line (tab,
+# \x1f, space) becomes a space, and any other byte becomes "x".
+_IMAGE_BYTES = bytes(c if 48 <= c <= 57 else 32 if c in b"\t\x1f " else 120 for c in range(256))
+
+
 def format_function(f: VectorOfImages) -> str:
     return f"{f.n_bits}\n{' '.join(str(v) for v in f.images)}\n"
 
@@ -350,13 +378,18 @@ def parse_function(text: str) -> VectorOfImages:
             raise FunctionFormatError("unexpected trailing content", extra + 1, 1)
 
     size = 1 << n_bits
-    # one pass over well-formed input; the per-token loop below finds the
-    # first error, and accepts the non-ASCII digits that \d matches
-    fields = lines[1].split()
-    if len(fields) == size and all(t.isascii() and t.isdigit() for t in fields):
-        images = tuple(map(int, fields))
-        if max(images) < size:
-            return _unchecked(n_bits, images)
+    # one numpy pass over well-formed input: ASCII digits and whitespace
+    # only, every value in range.  A token too long for int64 reads as
+    # its largest value, and so out of range.  The per-token loop below
+    # finds the first error, and accepts the non-ASCII digits that \d
+    # matches.
+    if lines[1].isascii():
+        raw = lines[1].encode("ascii").translate(_IMAGE_BYTES)
+        if b"x" not in raw:
+            values = np.fromstring(raw, dtype=np.int64, sep=" ")
+            if len(values) == size and values.max() < size:
+                array = values.astype(np.int32)
+                return _unchecked(n_bits, tuple(array.tolist()), array)
     tokens = list(re.finditer(r"\S+", lines[1]))
     if len(tokens) != size:
         column = tokens[size].start() + 1 if len(tokens) > size else len(lines[1]) + 1

@@ -21,9 +21,9 @@ generator is built:
 
 Closeness is the defect rate of _defects, the share of updates that
 depart from the negation; at most _FLIP_RATE takes "flips".  Defects are
-built once per f value while an f of that value lives, and group tables
-once per (f, k) value, a bounded cache keeping the last _GROUP_TABLES.
-Both are read-only, so generators over equal functions share them.  A
+computed for each bulk generator from f.array, and group tables once per
+(f, k) value, a bounded cache keeping the last _GROUP_TABLES; these are
+read-only, so generators over equal functions share them.  A
 bulk block holds at most _BLOCK_ROUNDS rounds and _BLOCK_UPDATES
 updates, so its arrays stay bounded at any k.  Other generators run
 round() for every round; a failing source raises there.
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import functools
 from itertools import islice
 import operator
-import weakref
 
 import numpy as np
 
@@ -304,13 +303,6 @@ class CiGenerator:
         return bitops.pack_bits(bits[: 8 * n_bytes])
 
 
-# _defects' results for every f that something else still holds.  The keys
-# are weak because an lru_cache entry keeps its f alive, 2.4 MiB at N=16
-# (a tuple of 65536 ints): holding the functions that the cli parses, an
-# lru_cache raised the benchmark's wide peak RSS by about 3 MiB.
-_DEFECT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _defects(f: VectorOfImages) -> tuple[np.ndarray, float]:
     """f's departures from the negation, and their rate.
 
@@ -318,17 +310,13 @@ def _defects(f: VectorOfImages) -> tuple[np.ndarray, float]:
     keeps instead of flipping: an update with mask w is held, the state
     staying, exactly when d(x) & w != 0.  The rate is the share of held
     updates over uniform states, sum of popcount d(x) over N 2^N, 0 for
-    the negation.  They are computed once per f value while some f of
-    that value lives, and the array is read-only, being shared by every
-    generator over an equal f.
+    the negation.  The array is read-only.  They are computed afresh from
+    f.array for each bulk generator: at N=16 that takes about 0.1 ms,
+    less than hashing f's 65536-entry tuple to look them up.
     """
-    known = _DEFECT_TABLES.get(f)
-    if known is None:
-        d = np.array(f.images, dtype=np.int32) ^ np.arange(f.mask, -1, -1, dtype=np.int32)
-        d.flags.writeable = False
-        held = sum(np.count_nonzero(d & (1 << b)) for b in range(f.n_bits))
-        known = _DEFECT_TABLES[f] = d, int(held) / (f.n_bits << f.n_bits)
-    return known
+    d = f.array ^ np.arange(f.mask, -1, -1, dtype=np.int32)
+    d.flags.writeable = False
+    return d, int(np.bitwise_count(d).sum()) / (f.n_bits << f.n_bits)
 
 
 @functools.lru_cache(maxsize=_GROUP_TABLES)

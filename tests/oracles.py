@@ -54,6 +54,27 @@ def first_repeat(images, n_bits):
     return None
 
 
+def balance_rule_witness(images, n_bits):
+    """The paired-edit balance rule, entry by entry in q order: None when
+    every entry equals the negation's or sits in a consistently swapped
+    single-bit pair, else (p, q) for the first entry q that breaks it,
+    p being the row that the lowest bit of its difference updates.
+    """
+    mask = (1 << n_bits) - 1
+    for q in range(1 << n_bits):
+        want = mask ^ q  # the negation's image at q
+        diff = images[q] ^ want
+        if diff == 0:
+            continue
+        if diff & (diff - 1):
+            # modified in more than one bit: not a single-bit paired edit
+            return n_bits - (diff & -diff).bit_length() + 1, q
+        # the edit at q forces the partner entry to take q's negated image
+        if images[q ^ diff] != want:
+            return n_bits - diff.bit_length() + 1, q
+    return None
+
+
 def bfs_reachable(adjacency, start):
     """Vertices reachable from start by a plain breadth-first search."""
     seen = bytearray(len(adjacency))

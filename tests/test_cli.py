@@ -25,6 +25,21 @@ def trace_file(tmp_path):
     return str(path)
 
 
+def sixteen_bit_variant():
+    """The negation at N=16 after four paired edits on disjoint pairs."""
+    f = func.negation(16)
+    for j, i in ((1, 1), (5, 2), (100, 16), (40000, 9)):
+        f = func.mutate_pair(f, j, i)
+    return f
+
+
+def sixteen_bit_unbalanced():
+    """The N=16 negation with digit 3 of f(0) flipped: row 3 repeats state 0."""
+    images = list(func.negation(16).images)
+    images[0] ^= 1 << 13
+    return func.VectorOfImages(16, images)
+
+
 @pytest.fixture
 def variant_file(tmp_path):
     path = tmp_path / "variant.fn"
@@ -79,6 +94,16 @@ class TestGen:
             Xorshift64(99),
         )
         assert data == gen.byte_stream(64)
+
+    def test_function_file_at_sixteen_bits(self, tmp_path):
+        f = sixteen_bit_variant()
+        path, out = tmp_path / "v16.fn", tmp_path / "stream.bin"
+        func.write_function(f, path)
+        rc = cli.main(["gen", "--function", str(path), "--seed-state", "0x1234", "--prng1-seed", "7",
+                       "--prng2-seed", "99", "--bytes", "4096", "--output", str(out)])
+        assert rc == 0
+        gen = CiGenerator(GeneratorConfig(f, k=49, seed_state=0x1234), Xorshift64(7), Xorshift64(99))
+        assert out.read_bytes() == gen.byte_stream(4096)
 
     def test_seed_and_script_conflict(self, capsys):
         rc = cli.main(
@@ -158,6 +183,18 @@ class TestVerify:
         lines = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
         assert lines["chaotic"] == "yes"
         assert lines["scc-count"] == "1"
+
+    @pytest.mark.parametrize(
+        "make, rc_want, balanced, rule",
+        [(sixteen_bit_variant, 0, "yes", "accept"), (sixteen_bit_unbalanced, 1, "no", "reject")],
+    )
+    def test_porcelain_at_sixteen_bits(self, tmp_path, capsys, make, rc_want, balanced, rule):
+        path = tmp_path / "f16.fn"
+        func.write_function(make(), path)
+        rc = cli.main(["verify", str(path), "--porcelain"])
+        assert rc == rc_want
+        lines = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert lines == {"balanced": balanced, "balance-rule": rule, "chaotic": "yes", "scc-count": "1"}
 
 
 class TestSearch:

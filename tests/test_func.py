@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +19,22 @@ from reference_data import KNOWN_CHAOTIC_VARIANTS
 
 def variant(i):
     return func.VectorOfImages(4, KNOWN_CHAOTIC_VARIANTS[i - 1])
+
+
+def paired_variant(n_bits, edits, rnd):
+    """The negation after up to `edits` random paired edits (colliding ones skipped)."""
+    f = func.negation(n_bits)
+    for _ in range(edits):
+        try:
+            f = func.mutate_pair(f, rnd.randint(1, 1 << n_bits), rnd.randint(1, n_bits))
+        except MutationError:
+            pass
+    return f
+
+
+def random_function(n_bits, seed):
+    rnd = random.Random(seed)
+    return func.VectorOfImages(n_bits, [rnd.randrange(1 << n_bits) for _ in range(1 << n_bits)])
 
 
 class TestVectorOfImages:
@@ -57,6 +75,40 @@ class TestVectorOfImages:
         f = func.negation(4)
         # 0b1000 has coordinate 1 set and the rest clear
         assert [f.coordinate(8, p) for p in (1, 2, 3, 4)] == [1, 0, 0, 0]
+
+
+class TestArray:
+    def test_read_only_int32_copy_of_images(self):
+        f = variant(2)
+        assert f.array.dtype == np.int32 and f.array.tolist() == list(f.images)
+        assert not f.array.flags.writeable and f.array is f.array
+        with pytest.raises(ValueError):
+            f.array[0] = 0
+
+    def test_not_a_field(self):
+        built, lazy = variant(2), variant(2)
+        built.array
+        assert "array" in vars(built) and "array" not in vars(lazy)
+        assert [field.name for field in dataclasses.fields(func.VectorOfImages)] == ["n_bits", "images"]
+        assert built == lazy and hash(built) == hash(lazy) and repr(built) == repr(lazy)
+        assert "array" not in repr(built)
+
+    @pytest.mark.parametrize("n_bits", [2, 4, 12, 16])
+    def test_parse_hands_over_its_array(self, n_bits):
+        # the separators that can sit within a line parse in the one numpy pass
+        text = func.format_function(random_function(n_bits, n_bits)).replace(" ", "\t", 1).replace(" ", "\x1f ", 1)
+        f = func.parse_function(text)
+        assert f == random_function(n_bits, n_bits)
+        assert "array" in vars(f)  # set by the parser, not built on first use
+        assert not f.array.flags.writeable and f.array.dtype == np.int32
+        assert f.array.tolist() == list(f.images)
+
+    def test_mutate_pair_result_gets_its_own(self):
+        f = func.negation(4)
+        before = f.array.copy()
+        g = func.mutate_pair(f, 1, 1)
+        assert g.array is not f.array and g.array.tolist() == list(KNOWN_CHAOTIC_VARIANTS[0])
+        assert np.array_equal(f.array, before)
 
 
 class TestNegation:
@@ -164,6 +216,18 @@ class TestIsBalanced:
         assert verdict == func.BalanceVerdict(False, (3, 0))
         assert verdict.first_violation == oracles.first_repeat(images, 16)
 
+    @pytest.mark.parametrize("n_bits, p, seed", [(12, 7, 1), (12, 12, 2), (16, 2, 3)])
+    def test_witness_matches_first_repeat_oracle_wide(self, n_bits, p, seed):
+        # flipping digit w of one image breaks row p alone: its pair
+        # (q, q XOR w) then agrees in bit w, and every other row reads
+        # other digits
+        rnd = random.Random(seed)
+        images = list(paired_variant(n_bits, 16, rnd).images)
+        images[rnd.randrange(1 << n_bits)] ^= 1 << (n_bits - p)
+        verdict = func.is_balanced(func.VectorOfImages(n_bits, images))
+        assert verdict.first_violation[0] == p
+        assert verdict.first_violation == oracles.first_repeat(images, n_bits)
+
     def test_identity_balanced(self):
         # every row of the identity's table is the identity permutation
         assert func.is_balanced(func.identity(3)).balanced
@@ -193,6 +257,40 @@ class TestBalanceRuleCheck:
     def test_rejects_entry_more_than_one_bit_away(self):
         # identity entries are far from the negation: outside the rule's scope
         assert not func.balance_rule_check(func.identity(4)).balanced
+
+    @given(st.integers(2, 8), st.randoms(use_true_random=False),
+           st.sampled_from(["random", "paired", "multi-bit", "unpaired"]))
+    def test_witness_matches_scalar_oracle(self, n_bits, rnd, kind):
+        size = 1 << n_bits
+        if kind == "random":
+            images = [rnd.randrange(size) for _ in range(size)]
+        else:
+            images = list(paired_variant(n_bits, rnd.randrange(2 * n_bits), rnd).images)
+        for _ in range(rnd.randint(1, 3) if kind in ("multi-bit", "unpaired") else 0):
+            q = rnd.randrange(size)
+            if kind == "multi-bit":
+                images[q] ^= rnd.choice([d for d in range(3, size) if d & (d - 1)])
+            else:
+                images[q] ^= 1 << rnd.randrange(n_bits)
+        verdict = func.balance_rule_check(func.VectorOfImages(n_bits, images))
+        expected = oracles.balance_rule_witness(images, n_bits)
+        assert verdict.balanced == (expected is None)
+        assert verdict.first_violation == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_matches_scalar_oracle_at_sixteen_bits(self, seed):
+        # a 16-edit variant with one of its edited pairs broken: the
+        # partner put back to the negation's image, or given a second bit
+        rnd = random.Random(seed)
+        f = paired_variant(16, 16, rnd)
+        assert func.balance_rule_check(f).balanced
+        images = list(f.images)
+        edited = [q for q in range(1 << 16) if images[q] != 0xFFFF ^ q]
+        q = rnd.choice(edited)
+        images[q] = 0xFFFF ^ q if seed % 2 else images[q] ^ (1 << rnd.randrange(16))
+        verdict = func.balance_rule_check(func.VectorOfImages(16, images))
+        expected = oracles.balance_rule_witness(images, 16)
+        assert expected is not None and verdict.first_violation == expected
 
     def test_exhaustive_agreement_width_2(self):
         """Rule acceptance == (every entry within one bit of the negation
@@ -415,6 +513,10 @@ class TestFunctionFiles:
             "2\n3\x1f2 1 0\n",  # \x1f and the no-break space are whitespace
             "2\n3\xa02 1 0\n",  # to str.split() and to \S+ alike
             "2\n 3\t2  1 0 \n",
+            "2\n003 02 1 0\n",  # leading zeros
+            "2\n" + "0" * 24 + "3 2 1 0\n",  # 25 digits, longer than any int64
+            "2\n\uff13 2 \uff11 0\n",  # fullwidth digits
+            "2\n3 2 1 0\x1c\n",  # \x1c-\x1e end a line: here an empty third one
         ],
     )
     def test_separators_and_unicode_digits(self, text):
@@ -428,6 +530,17 @@ class TestFunctionFiles:
             ("2\n3\x1f2 1 -0\n", 7, "image must be a decimal integer, got '-0'"),
             ("2\n3 \u00b2 1 0\n", 3, "image must be a decimal integer, got '\u00b2'"),
             ("2\n3\xa02 1\n", 6, "expected 4 images, got 3"),
+            ("2\n3 2 1\n", 6, "expected 4 images, got 3"),
+            ("2\n3 2 1 0 0\n", 9, "expected 4 images, got 5"),
+            ("2\n4 2 1 0\n", 1, "image 4 outside [0, 3]"),
+            ("2\n3 2 1 \uff14\n", 7, "image 4 outside [0, 3]"),
+            ("2\n3 2 1 4294967299\n", 7, "image 4294967299 outside [0, 3]"),  # 2^32 + 3
+            ("2\n3 2 1 9223372036854775808\n", 7, "image 9223372036854775808 outside [0, 3]"),  # 2^63
+            ("2\n3 2 1 18446744073709551619\n", 7, "image 18446744073709551619 outside [0, 3]"),  # 2^64 + 3
+            ("2\n+3 2 1 0\n", 1, "image must be a decimal integer, got '+3'"),
+            ("2\n3 2 1 -1\n", 7, "image must be a decimal integer, got '-1'"),
+            ("2\n3 2 1_0 0\n", 5, "image must be a decimal integer, got '1_0'"),
+            ("2\n3 2 1 0x0\n", 7, "image must be a decimal integer, got '0x0'"),
         ],
     )
     def test_errors_past_the_one_pass_check(self, text, column, message):
@@ -435,3 +548,42 @@ class TestFunctionFiles:
             func.parse_function(text)
         assert (exc.value.line, exc.value.column) == (2, column)
         assert str(exc.value) == f"line 2, column {column}: {message}"
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e"])
+    def test_line_separators_split_the_images_line(self, sep):
+        with pytest.raises(FunctionFormatError) as exc:
+            func.parse_function(f"2\n3{sep}2 1 0\n")
+        assert (exc.value.line, exc.value.column) == (3, 1)
+        assert str(exc.value) == "line 3, column 1: unexpected trailing content"
+
+    @pytest.mark.parametrize("n_bits", [2, 4, 12, 16])
+    def test_round_trip(self, n_bits):
+        for f in (func.negation(n_bits), random_function(n_bits, n_bits)):
+            assert func.parse_function(func.format_function(f)) == f
+
+    @given(st.data())
+    def test_numpy_pass_agrees_with_per_token_path(self, data):
+        # the per-token path alone runs when every byte maps to "x"
+        n_bits = data.draw(st.integers(2, 3))
+        size = 1 << n_bits
+        piece = st.one_of(
+            st.integers(0, size).map(str),
+            st.integers(0, size).map(lambda v: "0" * 20 + str(v)),
+            st.sampled_from(["18446744073709551619", "4294967299", "+3", "-1", "1_0", "\uff13", "\u0663", "x"]),
+        )
+        tokens = data.draw(st.lists(piece, min_size=size - 1, max_size=size + 1))
+        seps = data.draw(st.lists(st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\x1c"]),
+                                  min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        line = seps[0] + "".join(t + sep for t, sep in zip(tokens, seps[1:]))
+        text = f"{n_bits}\n{line}\n"
+
+        def outcome():
+            try:
+                return func.parse_function(text)
+            except FunctionFormatError as exc:
+                return str(exc), exc.line, exc.column
+
+        fast = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(func, "_IMAGE_BYTES", b"x" * 256)
+            assert outcome() == fast

@@ -792,12 +792,14 @@ class TestFlipEngine:
             gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))
             assert gen.path == path, (f.n_bits, generator._defects(f)[1])
 
-    def test_equal_functions_share_one_defect_table(self):
-        first, second = paired_edits(12, 16), paired_edits(12, 16)
+    def test_equal_functions_get_equal_defect_tables(self):
+        # each bulk generator computes its own read-only table from f.array
+        first, second = paired_edits(12, 16), func.parse_function(func.format_function(paired_edits(12, 16)))
         assert first is not second
         a = CiGenerator(GeneratorConfig(first, k=37, seed_state=0), Xorshift64(1), Xorshift64(2))
         b = CiGenerator(GeneratorConfig(second, k=40, seed_state=0), Xorshift64(1), Xorshift64(2))
-        assert a._defects is b._defects
+        assert a._defects is not b._defects and np.array_equal(a._defects, b._defects)
+        assert not a._defects.flags.writeable and not b._defects.flags.writeable
 
     def test_round_path_computes_no_defects(self, monkeypatch):
         monkeypatch.setattr(generator, "_defects", None)
