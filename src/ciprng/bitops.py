@@ -8,20 +8,30 @@ import numpy as np
 def as_bit_array(bits) -> np.ndarray:
     """Normalize a bit sequence to a uint8 array of 0/1 values.
 
-    Accepts a '0'/'1' string, a sequence of 0/1 integers, or a numpy
+    Accepts a '0'/'1' string, a sequence of 0/1 numbers, or a numpy
     array.  Packed bytes are not auto-detected; use `unpack_bits` first.
+    A uint8 or bool array is returned without a copy.
     """
     if isinstance(bits, str):
         arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     elif isinstance(bits, (bytes, bytearray)):
         raise TypeError("raw bytes are ambiguous here; unpack_bits() them first")
     else:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
+        if arr.dtype == np.bool_:
+            arr = arr.view(np.uint8)
+        elif arr.dtype.kind in "US":
+            arr = arr.astype(np.int64)  # a sequence of digit strings: read each as a number
     if arr.ndim != 1:
         raise ValueError(f"expected a flat bit sequence, got shape {arr.shape}")
-    if arr.size and arr.max() > 1:
+    if arr.dtype == np.uint8:
+        binary = not arr.size or arr.max() <= 1
+    else:
+        # checked before narrowing, which would wrap 257 and -255 to 1 and cut 1.7 to 1
+        binary = bool(((arr == 0) | (arr == 1)).all())
+    if not binary:
         raise ValueError("bit sequence contains values other than 0 and 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def bits_to_str(bits) -> str:

@@ -21,12 +21,25 @@ p-value is at least the significance level (0.01 by default).
   backward.  The backward partial sums are the total minus the forward
   ones, so a single forward scan gives both excursions.
 
+The partial-sum scan reads the stream as packed 16-bit words rather
+than one byte per bit, adding up per-word tables of net step, highest
+and lowest prefix (`_cusum_excursions`).  Window counts of width up to
+13 come from one histogram of the 16-bit words that start at every
+fourth bit, each word holding the windows of its four leading bits;
+wider windows, which a 16-bit word cannot hold four of, are counted by
+a shift-and-OR loop over one byte per bit (`_pattern_counts`).  The
+tables are built on first use.  The longest-run test reads the stream
+as packed bytes, and the ones counts come from `np.count_nonzero`.  Every
+count is an exact integer, the same as a bit-by-bit count, so no
+p-value moves.
+
 The standalone tests call the same helpers, so a p-value from
 `run_battery` equals, bit for bit, the one its test gives alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,7 +57,7 @@ from .errors import StreamTooShortError
 def frequency_monobit(bits) -> float:
     """Balance of ones vs zeros over the whole stream."""
     arr = _require(bits, "frequency", 100)
-    s = abs(2 * int(arr.sum()) - arr.size)
+    s = abs(2 * int(np.count_nonzero(arr)) - arr.size)
     return float(scipy.special.erfc(s / np.sqrt(arr.size) / np.sqrt(2.0)))
 
 
@@ -56,7 +69,7 @@ def block_frequency(bits, block_size: int = 128) -> float:
     n_blocks = arr.size // block_size
     if n_blocks < 1:
         raise StreamTooShortError("block-frequency", block_size, arr.size)
-    pi = arr[: n_blocks * block_size].reshape(n_blocks, block_size).mean(axis=1)
+    pi = _block_ones(arr, block_size) / block_size
     chi2 = 4.0 * block_size * float(((pi - 0.5) ** 2).sum())
     return float(scipy.special.gammaincc(n_blocks / 2.0, chi2 / 2.0))
 
@@ -65,13 +78,19 @@ def runs(bits) -> float:
     """Total number of maximal constant runs vs the expectation."""
     arr = _require(bits, "runs", 100)
     n = arr.size
-    pi = float(arr.mean())
+    pi = int(np.count_nonzero(arr)) / n
     if abs(pi - 0.5) >= 2.0 / np.sqrt(n):
         return 0.0  # frequency precondition failed; the test is decisive
     v = 1 + int(np.count_nonzero(np.diff(arr)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * np.sqrt(2.0 * n) * pi * (1.0 - pi)
     return float(scipy.special.erfc(num / den))
+
+
+def _block_ones(arr: np.ndarray, size: int) -> np.ndarray:
+    """Ones in each whole `size`-bit block; int32 holds any count of a block."""
+    n_blocks = arr.size // size
+    return arr[: n_blocks * size].reshape(n_blocks, size).sum(axis=1, dtype=np.int32)
 
 
 # per-regime constants: (minimum n, block size M, degrees K, run-length
@@ -108,18 +127,31 @@ def longest_run_of_ones(bits) -> float:
             regime = candidate
     _, m, k, classes, pi = regime
     n_blocks = n // m
-    # each block between two zero columns, flattened: the steps alternate,
-    # each run starting at one and ending at the next, within its block
-    padded = np.zeros((n_blocks, m + 2), dtype=np.int8)
-    padded[:, 1:-1] = arr[: n_blocks * m].reshape(n_blocks, m)
-    steps = np.flatnonzero(np.diff(padded.ravel()) != 0)
-    starts = steps[::2]
-    longest = np.zeros(n_blocks, dtype=np.int64)
-    np.maximum.at(longest, starts // (m + 2), steps[1::2] - starts)
-    counts = np.bincount(np.clip(longest, classes[0], classes[-1]) - classes[0], minlength=k + 1)
+    longest = _clipped_longest_runs(arr, m, classes[0], classes[-1])
+    counts = np.bincount(longest - classes[0], minlength=k + 1)
     expected = n_blocks * np.asarray(pi)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     return float(scipy.special.gammaincc(k / 2.0, chi2 / 2.0))
+
+
+def _clipped_longest_runs(arr: np.ndarray, m: int, lo: int, hi: int) -> np.ndarray:
+    """Longest run of ones in each whole m-bit block, clipped to [lo, hi];
+    m is a multiple of 8.
+
+    Bit i of `run`, the packed blocks, marks a run of `length` ones that
+    starts at bit i of its block; such runs starting at i and i + 1 make a
+    run of length + 1 at i.  A block's clipped longest run is lo plus the
+    number of lengths in (lo, hi] it still has a run of.
+    """
+    run = np.packbits(arr[: arr.size // m * m]).reshape(-1, m // 8)
+    longest = np.full(run.shape[0], lo)
+    for length in range(2, hi + 1):
+        follow = run << 1  # each bit's successor within its block, 0 past the end
+        follow[:, :-1] |= run[:, 1:] >> 7
+        run &= follow
+        if length > lo:
+            longest += run.any(axis=1)
+    return longest
 
 
 def cumulative_sums(bits) -> tuple[float, float]:
@@ -135,14 +167,38 @@ def _cusum_excursions(arr: np.ndarray) -> tuple[int, int]:
     One scan gives the forward partial sums S_1..S_n.  Read backward,
     the partial sums are S_n - S_i for i = 0..n-1, with S_0 = 0, so their
     largest magnitude follows from the range of S_1..S_n widened to 0.
+
+    The scan runs over big-endian 16-bit words: the sum at the end of
+    each word is a cumulative sum of the words' net steps, and the
+    word's highest and lowest partial sums sit a table entry away from
+    it.  The bits after the last whole word are summed one by one.
     """
-    steps = arr.astype(np.int8)
-    steps <<= 1
-    steps -= 1
+    net, up, down = _cusum_tables()
+    whole = arr.size - arr.size % 16
+    words = np.packbits(arr[:whole]).view(">u2").astype(np.intp)
     # |S_k| <= n, so int32 holds every partial sum of a stream under 2^31 bits
-    sums = np.cumsum(steps, dtype=np.int32 if arr.size < 1 << 31 else np.int64)
-    hi, lo, total = int(sums.max()), int(sums.min()), int(sums[-1])
+    ends = np.cumsum(net[words], dtype=np.int32 if arr.size < 1 << 31 else np.int64)
+    tail = (int(ends[-1]) if ends.size else 0) + np.cumsum(2 * arr[whole:].astype(np.int64) - 1)
+    hi = int(np.concatenate([ends + up[words], tail]).max())
+    lo = int(np.concatenate([ends + down[words], tail]).min())
+    total = int(tail[-1]) if tail.size else int(ends[-1])
     return max(hi, -lo), max(total - min(lo, 0), max(hi, 0) - total)
+
+
+@functools.cache
+def _cusum_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per 16-bit word, its bits read MSB first as +-1 steps: the net step,
+    and the highest and lowest partial sum within the word less that net
+    step.  Composed from the same three numbers for each byte.
+    """
+    steps = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int32) - 1
+    sums = np.cumsum(steps, axis=1, dtype=np.int32)
+    net8, top8, bot8 = sums[:, -1:], sums.max(axis=1, keepdims=True), sums.min(axis=1, keepdims=True)
+    # rows index the word's high byte, columns its low byte
+    net = net8 + net8.T
+    top = np.maximum(top8, net8 + top8.T)
+    bot = np.minimum(bot8, net8 + bot8.T)
+    return net.ravel(), (top - net).ravel(), (bot - net).ravel()
 
 
 def _cusum_p(n: int, z: int) -> float:
@@ -218,16 +274,34 @@ def _apen_p(counts_up: np.ndarray, n: int) -> float:
 def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
     """Counts of the n overlapping m-bit windows of the circular stream.
 
-    The windows are built in place in a uint16 accumulator when m <= 16,
-    a quarter of the traffic of int64, which holds the wider ones.
+    For m <= 13 the stream is read as the big-endian 16-bit words that
+    start at bits 0, 4, 8, ...: the word at bit 4j holds the windows
+    starting at bits 4j..4j+3 whole, so one histogram of the words, summed
+    down to m bits at each of the four offsets, counts every window.  The
+    windows after the last whole group of four are read from the next
+    word one by one.  Wider windows are built in place by shifting in one
+    bit at a time, in a uint16 accumulator when m <= 16 and int64 beyond.
     """
     n = arr.size
-    ext = np.concatenate([arr, arr[: m - 1]]) if m > 1 else arr
-    vals = ext[:n].astype(np.uint16 if m <= 16 else np.int64)
-    for t in range(1, m):
-        vals <<= 1
-        vals |= ext[t : t + n]
-    return np.bincount(vals, minlength=1 << m)
+    if m > 13:
+        ext = np.resize(arr, n + m - 1)  # np.resize repeats the stream, also when n < m - 1
+        vals = ext[:n].astype(np.uint16 if m <= 16 else np.int64)
+        for t in range(1, m):
+            vals <<= 1
+            vals |= ext[t : t + n]
+        return np.bincount(vals, minlength=1 << m)
+    groups = n // 4
+    packed = np.packbits(np.resize(arr, 4 * groups + 16)).astype(np.uint16)
+    even = (packed[:-1] << 8) | packed[1:]  # the words at bits 8k
+    words = np.empty(groups + 1, dtype=np.uint16)
+    words[0::2] = even[: groups // 2 + 1]
+    # the words at bits 8k + 4: the word at 8k shifted by a nibble, topped up from byte k + 2
+    words[1::2] = (even[: (groups + 1) // 2] << 4) | (packed[2 : (groups + 1) // 2 + 2] >> 4)
+    hist = np.bincount(words[:groups], minlength=1 << 16)
+    counts = sum(hist.reshape(1 << offset, 1 << m, -1).sum(axis=(0, 2)) for offset in range(4))
+    for offset in range(n % 4):
+        counts[(int(words[groups]) >> (16 - offset - m)) & ((1 << m) - 1)] += 1
+    return counts
 
 
 def _marginal(counts: np.ndarray, drop: int = 1) -> np.ndarray:

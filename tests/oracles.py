@@ -129,6 +129,18 @@ def longest_runs(bits, m):
     return longest
 
 
+def block_ones(bits, m):
+    """Number of ones in each whole m-bit block of the bit list, bit by bit."""
+    counts = []
+    for start in range(0, len(bits) - m + 1, m):
+        count = 0
+        for b in bits[start : start + m]:
+            if b == 1:
+                count += 1
+        counts.append(count)
+    return counts
+
+
 def window_counts(bits, m):
     """Counts of the n overlapping m-bit windows of the circular bit list,
     window by window and bit by bit, indexed by the window's value."""

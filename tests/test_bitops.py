@@ -24,6 +24,41 @@ class TestAsBitArray:
         with pytest.raises(ValueError):
             bitops.as_bit_array([0, 2])
 
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([0, 1, 257]),
+            np.array([0, 1, -255]),
+            np.array([0.5, 1.7]),
+            np.array([0, 1, 256], dtype=np.uint16),
+            [0, 1, 256],
+            [0, 1, -1],
+            [0, 1, 2**70],
+            [0.0, float("nan")],
+            [None],
+            ["0", "2"],
+        ],
+        ids=repr,
+    )
+    def test_rejects_values_that_narrowing_would_hide(self, bits):
+        # checked before the uint8 narrowing, which would wrap 257 and -255 to 1
+        with pytest.raises(ValueError, match="values other than 0 and 1"):
+            bitops.as_bit_array(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[1, 0, 1], (1, 0, 1), np.array([1, 0, 1]), np.array([1.0, 0.0, 1.0]), ["1", "0", "1"], [True, False, True]],
+        ids=repr,
+    )
+    def test_accepts_zeros_and_ones_of_any_type(self, bits):
+        arr = bitops.as_bit_array(bits)
+        assert arr.dtype == np.uint8 and arr.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+    def test_uint8_and_bool_arrays_are_not_copied(self, dtype):
+        bits = np.array([1, 0, 1], dtype=dtype)
+        assert np.shares_memory(bitops.as_bit_array(bits), bits)
+
 
 class TestPacking:
     def test_pack_known_byte(self):

@@ -14,7 +14,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import special as sp
 
 import ciprng
@@ -23,7 +23,14 @@ from ciprng.errors import StreamTooShortError
 from ciprng.generator import CiGenerator, GeneratorConfig
 from ciprng.sources import Xorshift64
 
-from oracles import count_max_run_le, cusum_excursions, expansion_bits, longest_runs, window_counts
+from oracles import (
+    block_ones,
+    count_max_run_le,
+    cusum_excursions,
+    expansion_bits,
+    longest_runs,
+    window_counts,
+)
 from reference_data import KNOWN_CHAOTIC_VARIANTS
 
 
@@ -156,24 +163,60 @@ class TestProperties:
         assert stats.run_battery(bits) == stats.run_battery(bits)
 
 
+# bit lists whose length is not a multiple of 8, so the packed helpers
+# meet a partial last byte and, mostly, a partial last 16-bit word
+ragged_streams = st.lists(st.integers(0, 1), min_size=1, max_size=700).filter(lambda b: len(b) % 8)
+
+
 class TestSharedWork:
     """The battery counts windows once and scans partial sums once."""
 
-    @pytest.mark.parametrize("m", range(1, 13))
+    # m = 13 is the widest window the 16-bit histogram holds; wider ones shift bit by bit
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_pattern_counts_match_window_oracle(self, m):
         rng = np.random.default_rng(m)
         streams = [rng.integers(0, 2, rng.integers(m, 301), dtype=np.uint8) for _ in range(5)]
+        streams += [rng.integers(0, 2, m + extra, dtype=np.uint8) for extra in range(4)]
         streams += [np.ones(m + 37, dtype=np.uint8), np.zeros(m + 37, dtype=np.uint8)]
         for arr in streams:
             assert stats._pattern_counts(arr, m).tolist() == window_counts(arr.tolist(), m)
 
+    @given(ragged_streams, st.integers(1, 16))
+    def test_pattern_counts_on_ragged_streams(self, bits, m):
+        assert stats._pattern_counts(np.array(bits, dtype=np.uint8), m).tolist() == window_counts(bits, m)
+
     @pytest.mark.parametrize(
         "bits",
-        ["1" * 300, "0" * 300, "01" * 150, "10" * 150, "1" * 150 + "0" * 151, "1011010111"],
+        [
+            "1" * 300,
+            "0" * 300,
+            "01" * 150,
+            "10" * 150,
+            "1" * 150 + "0" * 151,
+            "1011010111",
+            # the largest excursion inside, or at the end of, a partial last 16-bit word
+            "01" * 8 + "1" * 15,
+            "10" * 8 + "0" * 15,
+            "1" * 16 + "0" * 17,
+            "0" * 31,
+            "1",
+            "0" * 15,
+            "01" * 56 + "111",
+        ],
     )
     def test_cusum_excursions_match_reversed_oracle(self, bits):
         arr = stats.bitops.as_bit_array(bits)
         assert stats._cusum_excursions(arr) == cusum_excursions(arr.tolist())
+
+    @given(ragged_streams)
+    def test_cusum_excursions_on_ragged_streams(self, bits):
+        assert stats._cusum_excursions(np.array(bits, dtype=np.uint8)) == cusum_excursions(bits)
+
+    @given(ragged_streams, st.sampled_from([10, 100, 128, 129]))
+    @example([1] * 300, 129)  # whole blocks of ones: counts past int8
+    @example([1] * 259, 128)
+    def test_block_ones_match_oracle(self, bits, size):
+        assert stats._block_ones(np.array(bits, dtype=np.uint8), size).tolist() == block_ones(bits, size)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
     def test_cusum_excursions_on_random_streams(self, bits):
@@ -273,6 +316,24 @@ class TestLongestRunConstants:
 
 class TestLongestRunBlocks:
     """All blocks' longest runs at once equal a plain loop over each block."""
+
+    @given(st.lists(st.integers(0, 1), min_size=8, max_size=700), st.sampled_from(stats._LONGEST_RUN_REGIMES))
+    def test_clipped_runs_match_block_loop_oracle(self, bits, regime):
+        _, m, _, classes, _ = regime
+        lo, hi = classes[0], classes[-1]
+        want = [min(max(run, lo), hi) for run in longest_runs(bits, m)]
+        assert stats._clipped_longest_runs(np.array(bits, dtype=np.uint8), m, lo, hi).tolist() == want
+
+    @pytest.mark.parametrize("m,lo,hi", [(r[1], r[3][0], r[3][-1]) for r in stats._LONGEST_RUN_REGIMES])
+    def test_clipped_runs_at_each_run_length(self, m, lo, hi):
+        # one block per run length 0..hi + 2 and m, each run once at the block's
+        # start and once at its end
+        lengths = [*range(min(hi + 3, m)), m]
+        blocks = [[1] * length + [0] * (m - length) for length in lengths]
+        blocks += [[0] * (m - length) + [1] * length for length in lengths]
+        bits = [b for block in blocks for b in block]
+        got = stats._clipped_longest_runs(np.array(bits, dtype=np.uint8), m, lo, hi).tolist()
+        assert got == [min(max(length, lo), hi) for length in lengths] * 2
 
     @pytest.mark.parametrize("n", [128, 6271, 6272, 749_999, 750_000])
     @pytest.mark.parametrize("ones", [0.5, 0.8])
