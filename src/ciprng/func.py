@@ -125,13 +125,14 @@ def negation(n_bits: int) -> VectorOfImages:
     """The map complementing every coordinate: images[q] = 2^N - 1 - q."""
     _check_width(n_bits)
     # mask ^ q = mask - q for q in [0, mask]
-    return _unchecked(n_bits, tuple(range((1 << n_bits) - 1, -1, -1)))
+    mask = (1 << n_bits) - 1
+    return _unchecked(n_bits, tuple(range(mask, -1, -1)), np.arange(mask, -1, -1, dtype=np.int32))
 
 
 def identity(n_bits: int) -> VectorOfImages:
     """The map leaving every state fixed: images[q] = q."""
     _check_width(n_bits)
-    return _unchecked(n_bits, tuple(range(1 << n_bits)))
+    return _unchecked(n_bits, tuple(range(1 << n_bits)), np.arange(1 << n_bits, dtype=np.int32))
 
 
 def _check_width(n_bits: int) -> None:

@@ -129,6 +129,9 @@ class TestNegation:
                           (func.identity(n_bits), list(range(size)))):
             assert f == func.VectorOfImages(n_bits, images)
             assert type(f.images) is tuple and all(type(v) is int for v in f.images)
+            # the array handed over is f.array: int32, read-only, the same images
+            assert f.array.dtype == np.int32 and not f.array.flags.writeable
+            assert f.array.tolist() == images
 
     def test_rejects_width_below_2(self):
         with pytest.raises(ValueError):

@@ -89,12 +89,14 @@ class TestXorshift64:
 
 
 class TestXorshift64Arrays:
-    """Array draws equal the same number of single draws, jump-ahead included."""
+    """Array draws equal the same number of single draws, state included."""
 
-    # around the first doublings of the walk from one word, and the
-    # steady jump of _JUMP_WORDS words, whose last block is partial
+    # short calls of fewer rows than 64, whole and partial lanes, and
+    # around the anchor chunks of _ANCHOR_CHUNK anchors
     @pytest.mark.parametrize(
-        "count", [0, 1, 2, 3, 4, 5, 63, 64, 65, 200, 8192, 8193, 2 * sources._JUMP_WORDS + 1, 20_000]
+        "count",
+        [0, 1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 200, 8192, 8193, 20_000,
+         64 * sources._ANCHOR_CHUNK - 1, 64 * sources._ANCHOR_CHUNK + 1, 2 * 64 * sources._ANCHOR_CHUNK + 1],
     )
     def test_words_equal_single_steps(self, count):
         bulk, single = sources.Xorshift64(0xDEADBEEF), sources.Xorshift64(0xDEADBEEF)
@@ -102,6 +104,16 @@ class TestXorshift64Arrays:
         assert words.dtype == np.uint64
         assert [int(w) for w in words] == [single.next_word() for _ in range(count)]
         assert bulk.state == single.state
+
+    @pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 130, 200])
+    def test_lane_block(self, count):
+        # entry [j, l] is word 64 l + j, with no more rows than words
+        x, single = sources.Xorshift64(0xC0FFEE), sources.Xorshift64(0xC0FFEE)
+        block = x._lanes(count)
+        assert block.shape == (min(count, 64), -(-count // 64))
+        for i in range(count):
+            assert int(block[i % 64, i // 64]) == single.next_word(), i
+        assert x.state == single.state
 
     def test_consecutive_calls_continue_the_stream(self):
         bulk, single = sources.Xorshift64(77), sources.Xorshift64(77)
@@ -116,6 +128,17 @@ class TestXorshift64Arrays:
             single.next_coordinate(n_bits) for _ in range(3000)
         ]
         assert bulk.state == single.state
+
+    # widths whose coordinates come from whole words, at short calls,
+    # lane edges and a partial last lane
+    @pytest.mark.parametrize("n_bits", [3, 5, 6, 7, 9, 12, 15])
+    def test_word_width_coordinates_equal_single_draws(self, n_bits):
+        bulk, single = sources.Xorshift64(0xFACADE), sources.Xorshift64(0xFACADE)
+        for count in (1, 5, 63, 64, 65, 128, 129, 4097):
+            coords = bulk.coordinates(count, n_bits)
+            assert coords.dtype == np.int64
+            assert coords.tolist() == [single.next_coordinate(n_bits) for _ in range(count)], count
+            assert bulk.state == single.state, count
 
     def test_coordinates_reject_narrow_width(self):
         with pytest.raises(ValueError):
@@ -197,7 +220,8 @@ def test_anchor_gather_makes_no_walk(monkeypatch):
     assert counts == [2, 2]
 
 
-# widths read from bit planes, and widths read from whole words
+# widths read from bit planes, and widths read from whole words in lanes
+# (which TestXorshift64Arrays checks against single draws)
 PLANE_WIDTHS = (2, 4, 8, 16)
 WORD_WIDTHS = (3, 5, 12)
 # around each anchor stride and each power of two of anchors, up to past
