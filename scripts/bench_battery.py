@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Time the statistical battery test by test on one seeded 10^6-bit stream.
+"""Time the statistical battery test by test, a parent tree against this checkout.
 
 Each of the seven tests, `run_battery`, and `read_stream` in both file
-formats is timed as the min of 15 calls, with the default battery
-parameters.  The timings (ms) go into BENCH_battery.json under a label;
-the other labels already in the file are kept, so two checkouts can be
-compared in one file:
+formats is timed on one seeded 10^6-bit stream with the default battery
+parameters, as the min of 15 calls in a fresh subprocess.  Every entry is
+timed in `ROUNDS` subprocesses per tree, the two trees alternating entry
+by entry and round by round, so that drift of the machine falls on both
+alike.  The median of the rounds (ms) and their spread go into
+BENCH_battery.json under one label per tree; the labels already in the
+file are kept:
 
-    python scripts/bench_battery.py --label change
-    python scripts/bench_battery.py --label parent --src ../parent/src
+    python scripts/bench_battery.py --parent ../parent/src --parent-label 44f98c5 --label change
 
-`--src` picks the source tree the package is imported from (default:
-this checkout's `src`).
+`--parent` is the source tree to compare against; the other tree is this
+checkout's `src`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -30,6 +34,21 @@ OUT = ROOT / "BENCH_battery.json"
 BITS = 1_000_000
 SEED = 18
 REPEATS = 15
+ROUNDS = 5
+ENTRIES = (
+    "frequency",
+    "block-frequency",
+    "cumulative-sums",
+    "runs",
+    "longest-run",
+    "serial",
+    "approximate-entropy",
+    "run_battery",
+    "read_stream:ascii-01",
+    "read_stream:raw-bytes",
+)
+# run in each subprocess, with the tree under test first on PYTHONPATH
+WORKER = "import sys, bench_battery; from ciprng import stats; print(bench_battery.time_entry(sys.argv[1]), stats.__file__)"
 
 
 def best_ms(call) -> float:
@@ -52,15 +71,9 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key the timings are stored under")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to import ciprng from")
-    args = parser.parse_args()
-
-    sys.path.insert(0, str(args.src.resolve()))
+def time_entry(name: str) -> float:
+    """The best time of one entry, ms."""
     import numpy as np
-    import scipy
 
     from ciprng import stats
 
@@ -76,32 +89,72 @@ def main() -> int:
         "approximate-entropy": lambda: stats.approximate_entropy(bits, cfg.apen_block),
         "run_battery": lambda: stats.run_battery(bits, cfg),
     }
-    timings = {name: best_ms(call) for name, call in calls.items()}
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("ascii-01", "raw-bytes"):
             path = Path(tmp) / fmt
             stats.export_stream(bits, fmt, path)
-            timings[f"read_stream:{fmt}"] = best_ms(lambda: stats.read_stream(path, fmt))
+            calls[f"read_stream:{fmt}"] = lambda path=path, fmt=fmt: stats.read_stream(path, fmt)
+        return best_ms(calls[name])
+
+
+def timed_in_subprocess(src: Path, name: str) -> float:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "scripts")])}
+    out = subprocess.run([sys.executable, "-c", WORKER, name], env=env, check=True, capture_output=True, text=True)
+    ms, imported = out.stdout.split(maxsplit=1)
+    if not Path(imported.strip()).is_relative_to(src):
+        sys.exit(f"ciprng was imported from {imported.strip()}, not from {src}")
+    return float(ms)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="source tree to compare against")
+    parser.add_argument("--parent-label", required=True, help="key the parent's timings are stored under")
+    parser.add_argument("--label", required=True, help="key this checkout's timings are stored under")
+    args = parser.parse_args()
 
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    if args.label == args.parent_label or {args.label, args.parent_label} & doc.get("runs", {}).keys():
+        parser.error(f"the two labels must differ and be new to {OUT.name}")
+    trees = {args.parent_label: args.parent.resolve(), args.label: (ROOT / "src").resolve()}
+    rounds = {label: {name: [] for name in ENTRIES} for label in trees}
+    for r in range(ROUNDS):
+        for i, name in enumerate(ENTRIES):
+            order = list(trees) if (r + i) % 2 == 0 else list(trees)[::-1]
+            for label in order:
+                rounds[label][name].append(timed_in_subprocess(trees[label], name))
+            print(f"round {r + 1}/{ROUNDS} {name:<22}", *(f"{label}: {rounds[label][name][-1]:.3f} ms" for label in trees))
+
+    import numpy as np
+    import scipy
+
     doc.update(
         {
-            "what": "min of `repeats` calls per entry, ms; default BatteryConfig",
+            "what": (
+                "min of `repeats` calls per entry, ms; default BatteryConfig.  A run with `rounds` timed "
+                "each entry in that many subprocesses, alternating with the run `compared_with`; its "
+                "`timings_ms` is the median of the rounds and `spread_ms` their max minus min"
+            ),
             "bits": BITS,
             "seed": SEED,
             "repeats": REPEATS,
         }
     )
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": f"{cpu_model()}, {len(os.sched_getaffinity(0))} cores",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "timings_ms": timings,
-    }
+    for label, other in zip(trees, list(trees)[::-1]):
+        doc.setdefault("runs", {})[label] = {
+            "machine": f"{cpu_model()}, {len(os.sched_getaffinity(0))} cores",
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "rounds": ROUNDS,
+            "compared_with": other,
+            "timings_ms": {name: round(statistics.median(ms), 3) for name, ms in rounds[label].items()},
+            "spread_ms": {name: round(max(ms) - min(ms), 3) for name, ms in rounds[label].items()},
+        }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
-    for name, ms in timings.items():
-        print(f"{name:<22} {ms:8.3f} ms")
+    print(f"{'median ms':<22}", *(f"{label:>16}" for label in trees))
+    for name in ENTRIES:
+        print(f"{name:<22}", *(f"{doc['runs'][label]['timings_ms'][name]:16.3f}" for label in trees))
     return 0
 
 

@@ -23,15 +23,24 @@ p-value is at least the significance level (0.01 by default).
 
 The partial-sum scan reads the stream as packed 16-bit words rather
 than one byte per bit, adding up per-word tables of net step, highest
-and lowest prefix (`_cusum_excursions`).  Window counts of width up to
-13 come from one histogram of the 16-bit words that start at every
-fourth bit, each word holding the windows of its four leading bits;
-wider windows, which a 16-bit word cannot hold four of, are counted by
-a shift-and-OR loop over one byte per bit (`_pattern_counts`).  The
-tables are built on first use.  The longest-run test reads the stream
-as packed bytes, and the ones counts come from `np.count_nonzero`.  Every
-count is an exact integer, the same as a bit-by-bit count, so no
-p-value moves.
+and lowest prefix (`_cusum_excursions`).  The longest-run test reads
+its blocks as 16-bit words too (bytes for M = 8), through per-word
+tables of leading ones, trailing ones and longest inner run
+(`_run_tables`): a block's longest run is its largest inner run or its
+largest trailing-plus-leading sum over adjacent words, exact once
+clipped to the top class, which is at most 16.  Window counts of width
+m up to 13 come from one histogram of the leading m + 3 bits of the
+16-bit words that start at every fourth bit, 2^(m+3) bins, which hold
+the windows of the word's four leading bits; pairwise adds of halves
+sum them down to m bits.  Wider windows, which a 16-bit word cannot
+hold four of, are counted by a shift-and-OR loop over one byte per bit
+(`_pattern_counts`).  The tables are built on first use, and the ones
+counts come from `np.count_nonzero`.  Every count is an exact integer,
+the same as a bit-by-bit count, so no p-value moves.
+
+An ASCII stream that is '0'/'1' digits followed by trailing whitespace
+only, as `export_stream` writes it, is read with one `np.frombuffer`;
+any other text has its whitespace deleted first (`_parse_ascii_bits`).
 
 The standalone tests call the same helpers, so a p-value from
 `run_battery` equals, bit for bit, the one its test gives alone.
@@ -136,22 +145,51 @@ def longest_run_of_ones(bits) -> float:
 
 def _clipped_longest_runs(arr: np.ndarray, m: int, lo: int, hi: int) -> np.ndarray:
     """Longest run of ones in each whole m-bit block, clipped to [lo, hi];
-    m is a multiple of 8.
+    m is a multiple of 8 and hi <= 16.
 
-    Bit i of `run`, the packed blocks, marks a run of `length` ones that
-    starts at bit i of its block; such runs starting at i and i + 1 make a
-    run of length + 1 at i.  A block's clipped longest run is lo plus the
-    number of lengths in (lo, hi] it still has a run of.
+    Each block is read as big-endian 16-bit words, or as bytes when m is
+    not a multiple of 16.  A run inside one word is that word's longest
+    inner run; a run across one word boundary is the trailing ones of the
+    word before it plus the leading ones of the word after it.  A run
+    across two boundaries holds a whole word of ones, whose inner run of
+    16 already clips to hi, so the clipped block maximum is exact.  The
+    leading ones of each block's first word are set to 0, so the last word
+    of the block before adds only its trailing ones, which its inner run
+    already covers.
     """
-    run = np.packbits(arr[: arr.size // m * m]).reshape(-1, m // 8)
-    longest = np.full(run.shape[0], lo)
-    for length in range(2, hi + 1):
-        follow = run << 1  # each bit's successor within its block, 0 past the end
-        follow[:, :-1] |= run[:, 1:] >> 7
-        run &= follow
-        if length > lo:
-            longest += run.any(axis=1)
-    return longest
+    width = 16 if m % 16 == 0 else 8
+    lead, trail, inner = _run_tables(width)
+    packed = np.packbits(arr[: arr.size // m * m])
+    words = packed.view(">u2").astype(np.uint16) if width == 16 else packed
+    after = lead.take(words)
+    after[:: m // width] = 0
+    longest = trail.take(words)
+    longest[:-1] += after[1:]
+    np.maximum(longest, inner.take(words), out=longest)
+    return np.clip(longest.reshape(-1, m // width).max(axis=1), lo, hi)
+
+
+@functools.cache
+def _run_tables(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per `width`-bit word (8 or 16), its bits read MSB first: the number
+    of leading ones, of trailing ones, and its longest run of ones.  The
+    16-bit tables are composed from the 8-bit ones.
+    """
+    if width == 16:
+        lead8, trail8, inner8 = (t[:, None] for t in _run_tables(8))
+        # rows index the word's high byte, columns its low byte
+        lead = np.where(lead8 == 8, 8 + lead8.T, lead8)
+        trail = np.where(trail8.T == 8, 8 + trail8, trail8.T)
+        inner = np.maximum(np.maximum(inner8, inner8.T), trail8 + lead8.T)
+        return lead.ravel(), trail.ravel(), inner.ravel()
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    lead = np.cumprod(bits, axis=1).sum(axis=1, dtype=np.uint8)
+    trail = np.cumprod(bits[:, ::-1], axis=1).sum(axis=1, dtype=np.uint8)
+    run = inner = np.zeros(256, dtype=np.uint8)
+    for column in bits.T:
+        run = (run + 1) * column
+        inner = np.maximum(inner, run)
+    return lead, trail, inner
 
 
 def cumulative_sums(bits) -> tuple[float, float]:
@@ -275,12 +313,13 @@ def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
     """Counts of the n overlapping m-bit windows of the circular stream.
 
     For m <= 13 the stream is read as the big-endian 16-bit words that
-    start at bits 0, 4, 8, ...: the word at bit 4j holds the windows
-    starting at bits 4j..4j+3 whole, so one histogram of the words, summed
-    down to m bits at each of the four offsets, counts every window.  The
-    windows after the last whole group of four are read from the next
-    word one by one.  Wider windows are built in place by shifting in one
-    bit at a time, in a uint16 accumulator when m <= 16 and int64 beyond.
+    start at bits 0, 4, 8, ...: the leading m + 3 bits of the word at bit
+    4j hold the windows starting at bits 4j..4j+3 whole, so one histogram
+    of those (m + 3)-bit values, summed down to m bits at each of the four
+    offsets, counts every window.  The windows after the last whole group
+    of four are read from the next word one by one.  Wider windows are
+    built in place by shifting in one bit at a time, in a uint16
+    accumulator when m <= 16 and int64 beyond.
     """
     n = arr.size
     if m > 13:
@@ -297,8 +336,14 @@ def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
     words[0::2] = even[: groups // 2 + 1]
     # the words at bits 8k + 4: the word at 8k shifted by a nibble, topped up from byte k + 2
     words[1::2] = (even[: (groups + 1) // 2] << 4) | (packed[2 : (groups + 1) // 2 + 2] >> 4)
-    hist = np.bincount(words[:groups], minlength=1 << 16)
-    counts = sum(hist.reshape(1 << offset, 1 << m, -1).sum(axis=(0, 2)) for offset in range(4))
+    # after pass j, `counts` holds the (m + 3 - j)-bit windows at offsets
+    # 0..j of the words' leading m + 3 bits: dropping a leading bit moves
+    # those at 0..j-1 to 1..j, and `trailing` adds the one at offset 0
+    counts = trailing = np.bincount(words[:groups] >> (13 - m), minlength=1 << (m + 3))
+    for _ in range(3):
+        half = counts.size // 2
+        trailing = _marginal(trailing)
+        counts = counts[:half] + counts[half:] + trailing
     for offset in range(n % 4):
         counts[(int(words[groups]) >> (16 - offset - m)) & ((1 << m) - 1)] += 1
     return counts
@@ -306,7 +351,9 @@ def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
 
 def _marginal(counts: np.ndarray, drop: int = 1) -> np.ndarray:
     """Window counts `drop` bits shorter: merge the extensions of each prefix."""
-    return counts.reshape(-1, 1 << drop).sum(axis=1)
+    for _ in range(drop):
+        counts = counts[0::2] + counts[1::2]
+    return counts
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
@@ -484,8 +531,14 @@ def _parse_ascii_bits(data: bytes) -> np.ndarray:
 
     Equal to decoding `data` as ASCII and passing the text, its
     whitespace removed, to bitops.as_bit_array, errors included, but
-    without making the text and its pieces.
+    without making the text and its pieces.  Digits followed by trailing
+    whitespace only, as export_stream writes them, are read as they are;
+    any other input has its whitespace deleted first.
     """
+    try:
+        return bitops.as_bit_array(np.frombuffer(data.rstrip(), dtype=np.uint8) - ord("0"))
+    except ValueError:
+        pass  # a byte before the trailing whitespace is not '0' or '1'
     if not data.isascii():
         data.decode("ascii")  # raises the decoder's own UnicodeDecodeError
     digits = np.frombuffer(data.translate(None, _SPLIT_WHITESPACE), dtype=np.uint8)

@@ -335,6 +335,36 @@ class TestLongestRunBlocks:
         got = stats._clipped_longest_runs(np.array(bits, dtype=np.uint8), m, lo, hi).tolist()
         assert got == [min(max(length, lo), hi) for length in lengths] * 2
 
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_run_tables_match_bit_count(self, width):
+        lead, trail, inner = stats._run_tables(width)
+        words = [format(w, f"0{width}b") for w in range(1 << width)]
+        assert lead.tolist() == [len(s) - len(s.lstrip("1")) for s in words]
+        assert trail.tolist() == [len(s) - len(s.rstrip("1")) for s in words]
+        assert inner.tolist() == [max(map(len, s.split("0"))) for s in words]
+
+    def test_clipped_runs_across_word_boundaries(self):
+        # M = 10000: one block per run length lo - 1..hi + 1 and start offset
+        # 0..15 in a 16-bit word mid-block; every block also starts and ends
+        # with lo - 1 ones, a run past hi only if counted across two blocks
+        _, m, _, classes, _ = stats._LONGEST_RUN_REGIMES[2]
+        lo, hi = classes[0], classes[-1]
+        cases = [(length, offset) for length in range(lo - 1, hi + 2) for offset in range(16)]
+        blocks = np.zeros((len(cases), m), dtype=np.uint8)
+        blocks[:, : lo - 1] = blocks[:, m - lo + 1 :] = 1
+        for row, (length, offset) in zip(blocks, cases):
+            row[16 * 300 + offset : 16 * 300 + offset + length] = 1
+        got = stats._clipped_longest_runs(blocks.ravel(), m, lo, hi).tolist()
+        assert got == [min(max(length, lo), hi) for length, _ in cases]
+
+    @pytest.mark.parametrize("regime", stats._LONGEST_RUN_REGIMES)
+    def test_clipped_runs_on_a_dense_stream(self, regime):
+        # mostly runs past hi, many across two or more word boundaries
+        _, m, _, classes, _ = regime
+        bits = (np.random.default_rng(90).random(100_000) < 0.9).astype(np.uint8)
+        want = [min(max(run, classes[0]), classes[-1]) for run in longest_runs(bits.tolist(), m)]
+        assert stats._clipped_longest_runs(bits, m, classes[0], classes[-1]).tolist() == want
+
     @pytest.mark.parametrize("n", [128, 6271, 6272, 749_999, 750_000])
     @pytest.mark.parametrize("ones", [0.5, 0.8])
     def test_p_value_matches_block_loop_oracle(self, n, ones):
@@ -464,6 +494,14 @@ class TestExport:
             stats.read_stream(path, "ascii-01")
 
     @given(st.binary(max_size=40) | st.lists(st.sampled_from(b"01 \t\n\r\x0b\x0c\x1c\x1f\x85")).map(bytes))
+    # digits and trailing whitespace are read as they are; bytes.rstrip()
+    # keeps the separators \x1c-\x1f, which str.split() drops
+    @example(b"0101\r\n")
+    @example(b"0101\x1c")
+    @example(b"0110\x1f")
+    @example(b" \n")
+    @example(b"")
+    @example(b"0120\n")
     def test_ascii_parse_equals_text_split(self, data):
         def outcome(parse):
             try:
