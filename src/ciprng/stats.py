@@ -10,6 +10,14 @@ the remaining tests.
 Each test returns a p-value in [0, 1]; a stream passes a test when its
 p-value is at least the significance level (0.01 by default).
 
+The p-values need no special-function library.  Frequency, runs and
+cumulative sums use `math.erfc`; the chi-square tests use `_igamc`, the
+regularized upper incomplete gamma function, computed here from its
+power series and continued fraction, as the reference tool carries its
+own.  The cumulative-sums p-value sums normal-CDF differences over k;
+only the few k whose CDF arguments are not both beyond +-40 are summed,
+as every other term is exactly 0 in double (`_cusum_p`).
+
 `run_battery` shares the work of its two costliest steps:
 
 * serial and approximate entropy both read counts of the overlapping
@@ -49,12 +57,12 @@ The standalone tests call the same helpers, so a p-value from
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy  # scipy.special loads on first use, not on every `import ciprng`
 
 from . import bitops
 from .errors import StreamTooShortError
@@ -67,7 +75,7 @@ def frequency_monobit(bits) -> float:
     """Balance of ones vs zeros over the whole stream."""
     arr = _require(bits, "frequency", 100)
     s = abs(2 * int(np.count_nonzero(arr)) - arr.size)
-    return float(scipy.special.erfc(s / np.sqrt(arr.size) / np.sqrt(2.0)))
+    return math.erfc(s / math.sqrt(arr.size) / math.sqrt(2.0))
 
 
 def block_frequency(bits, block_size: int = 128) -> float:
@@ -80,7 +88,7 @@ def block_frequency(bits, block_size: int = 128) -> float:
         raise StreamTooShortError("block-frequency", block_size, arr.size)
     pi = _block_ones(arr, block_size) / block_size
     chi2 = 4.0 * block_size * float(((pi - 0.5) ** 2).sum())
-    return float(scipy.special.gammaincc(n_blocks / 2.0, chi2 / 2.0))
+    return _igamc(n_blocks / 2.0, chi2 / 2.0)
 
 
 def runs(bits) -> float:
@@ -88,12 +96,12 @@ def runs(bits) -> float:
     arr = _require(bits, "runs", 100)
     n = arr.size
     pi = int(np.count_nonzero(arr)) / n
-    if abs(pi - 0.5) >= 2.0 / np.sqrt(n):
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return 0.0  # frequency precondition failed; the test is decisive
     v = 1 + int(np.count_nonzero(np.diff(arr)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
-    den = 2.0 * np.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(scipy.special.erfc(num / den))
+    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    return math.erfc(num / den)
 
 
 def _block_ones(arr: np.ndarray, size: int) -> np.ndarray:
@@ -140,7 +148,7 @@ def longest_run_of_ones(bits) -> float:
     counts = np.bincount(longest - classes[0], minlength=k + 1)
     expected = n_blocks * np.asarray(pi)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return float(scipy.special.gammaincc(k / 2.0, chi2 / 2.0))
+    return _igamc(k / 2.0, chi2 / 2.0)
 
 
 def _clipped_longest_runs(arr: np.ndarray, m: int, lo: int, hi: int) -> np.ndarray:
@@ -240,19 +248,32 @@ def _cusum_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cusum_p(n: int, z: int) -> float:
-    """p-value of a largest excursion z >= 1 over n steps."""
-    sqrt_n = np.sqrt(n)
+    """p-value of a largest excursion z >= 1 over n steps.
+
+    Each sum runs over the k whose two normal-CDF arguments are not both
+    beyond +-40: from +8.3 on the CDF is 1.0 in double and from -38.5 on
+    it is 0.0, so every term left out is exactly 0.  A stream's z is
+    about sqrt(n), which leaves a few dozen of the n / (2z) terms.
+    """
+    sqrt_n = math.sqrt(n)
     nz = n // z
+    reach = 40.0 * sqrt_n / z  # |4k + c| past this puts (4k + c) z / sqrt(n) past 40
 
     def phi_term(lo: int, hi: int, a: int, b: int) -> float:
-        ks = np.arange(lo, hi + 1, dtype=np.float64)
-        upper = scipy.special.ndtr((4 * ks + a) * z / sqrt_n)
-        lower = scipy.special.ndtr((4 * ks + b) * z / sqrt_n)
-        return float((upper - lower).sum())
+        lo = max(lo, math.ceil((-reach - a) / 4))
+        hi = min(hi, math.floor((reach - b) / 4))
+        return math.fsum(
+            _ndtr((4 * k + a) * z / sqrt_n) - _ndtr((4 * k + b) * z / sqrt_n) for k in range(lo, hi + 1)
+        )
 
     sum1 = phi_term(_c_div(-nz + 1, 4), _c_div(nz - 1, 4), 1, -1)
     sum2 = phi_term(_c_div(-nz - 3, 4), _c_div(nz - 1, 4), 3, 1)
     return 1.0 - sum1 + sum2
+
+
+def _ndtr(x: float) -> float:
+    """The standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _c_div(a: int, b: int) -> int:
@@ -282,8 +303,8 @@ def _serial_p(counts: np.ndarray, n: int) -> tuple[float, float]:
     psi_m2 = _psi_sq(_marginal(counts), n)
     del1 = psi_m - psi_m1
     del2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(scipy.special.gammaincc(2 ** (block - 2), del1 / 2.0))
-    p2 = float(scipy.special.gammaincc(2 ** (block - 3), del2 / 2.0))
+    p1 = _igamc(2.0 ** (block - 2), del1 / 2.0)
+    p2 = _igamc(2.0 ** (block - 3), del2 / 2.0)
     return p1, p2
 
 
@@ -306,7 +327,7 @@ def _apen_p(counts_up: np.ndarray, n: int) -> float:
     phi_lo = _phi(_marginal(counts_up), n)
     apen = phi_lo - phi_up
     chi2 = 2.0 * n * (np.log(2.0) - apen)
-    return float(scipy.special.gammaincc(2 ** (block - 1), chi2 / 2.0))
+    return _igamc(2.0 ** (block - 1), chi2 / 2.0)
 
 
 def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
@@ -377,7 +398,71 @@ def chi_square_symbols(states: Sequence[int], n_bits: int) -> float:
     counts = np.bincount(arr, minlength=size)
     expected = arr.size / size
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return float(scipy.special.gammaincc((size - 1) / 2.0, chi2 / 2.0))
+    return _igamc((size - 1) / 2.0, chi2 / 2.0)
+
+
+# the coefficients B_2k / (2k (2k - 1)) of Stirling's series for ln Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_TINY = 1e-300
+
+
+def _igamc(a: float, x: float) -> float:
+    """The regularized upper incomplete gamma function Q(a, x), a > 0.
+
+    Below x = a + 1 it is 1 - P(a, x), P from its power series; above,
+    the modified Lentz evaluation of its continued fraction (Numerical
+    Recipes, section 6.2).  Both scale the common factor
+    x^a e^-x / Gamma(a), which is taken as
+    sqrt(a / 2 pi) exp(a ln(x/a) - d - r(a)) with d = x - a and r the
+    remainder of Stirling's formula, so that no two terms of size a ln a
+    cancel; near x = a, ln(x/a) is log1p(d/a).  Edge values are scipy's:
+    Q(a, 0) = 1, Q(a, inf) = 0, and nan for x < 0, for a nan, and for
+    a <= 0.
+    """
+    if not (a > 0.0 and x >= 0.0):
+        return math.nan
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    d = x - a
+    log_ratio = math.log1p(d / a) if x > 0.5 * a else math.log(x) - math.log(a)
+    lead = math.sqrt(a / (2.0 * math.pi)) * math.exp(a * log_ratio - d - _stirling_remainder(a))
+    if x < a + 1.0:
+        # the n-th term x^n / ((a+1)...(a+n)) is at most
+        # exp(-n (n-1) / (2 (a+n))), under e^-45 from n = 91 + sqrt(90 a) on
+        terms = np.cumprod(x / np.arange(a + 1.0, a + 91.5 + math.ceil(math.sqrt(90.0 * a))))
+        return 1.0 - lead * (1.0 + float(terms.sum())) / a
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = h = 1.0 / b
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 2.0**-53:
+            return lead * h
+
+
+def _stirling_remainder(a: float) -> float:
+    """ln Gamma(a) - ((a - 1/2) ln a - a + ln(2 pi) / 2)."""
+    if a < 10.0:
+        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - 0.5 * math.log(2.0 * math.pi)
+    inv_sq = 1.0 / (a * a)
+    series = 0.0
+    for coefficient in reversed(_STIRLING):
+        series = series * inv_sq + coefficient
+    return series / a
 
 
 def _require(bits, test: str, minimum: int) -> np.ndarray:
@@ -532,11 +617,14 @@ def _parse_ascii_bits(data: bytes) -> np.ndarray:
     Equal to decoding `data` as ASCII and passing the text, its
     whitespace removed, to bitops.as_bit_array, errors included, but
     without making the text and its pieces.  Digits followed by trailing
-    whitespace only, as export_stream writes them, are read as they are;
-    any other input has its whitespace deleted first.
+    whitespace only, as export_stream writes them, are read in place, up
+    to the last digit; any other input has its whitespace deleted first.
     """
+    end = len(data)
+    while end and data[end - 1] in _SPLIT_WHITESPACE:
+        end -= 1
     try:
-        return bitops.as_bit_array(np.frombuffer(data.rstrip(), dtype=np.uint8) - ord("0"))
+        return bitops.as_bit_array(np.frombuffer(data, dtype=np.uint8, count=end) - ord("0"))
     except ValueError:
         pass  # a byte before the trailing whitespace is not '0' or '1'
     if not data.isascii():
