@@ -53,7 +53,16 @@ def unpack_bits(data: bytes) -> np.ndarray:
 
 
 def state_bits(states, n_bits: int) -> np.ndarray:
-    """Concatenated big-endian n_bits-wide bit patterns of the given states."""
+    """Concatenated big-endian n_bits-wide bit patterns of the given states.
+
+    Each state's low n_bits, shifted to the top of the narrowest
+    big-endian word of 1, 2, 4 or 8 bytes that holds them, unpacked
+    MSB-first: one byte per output bit, and a word per state besides.
+    """
     arr = np.asarray(states, dtype=np.int64)
-    shifts = np.arange(n_bits - 1, -1, -1, dtype=np.int64)
-    return ((arr[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    size = 1 << max(0, (n_bits - 1).bit_length() - 3)  # bytes per word
+    words = arr.astype(f">u{size}")  # keeps the low 8 * size bits, as the shifts do
+    if n_bits == 8 * size:
+        return np.unpackbits(words.view(np.uint8))
+    words <<= 8 * size - n_bits
+    return np.unpackbits(words.view(np.uint8).reshape(-1, size), axis=1, count=n_bits).ravel()

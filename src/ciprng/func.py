@@ -8,14 +8,18 @@ Conventions used across the package:
 * Bit i of a value counts from the right starting at 1, so bit i has
   weight 2^(i-1).  Coordinate p and bit i name the same digit when
   p = N - i + 1.
-* A map f: B^N -> B^N is stored 0-based as the tuple of its images
+* A map f: B^N -> B^N is stored 0-based as the vector of its images
   (f(0), ..., f(2^N - 1)).  Entry positions are also addressed 1-based
   (j = q + 1) by the operations that edit pairs of entries, matching the
   usual statement of the balance rule.
 
-* Every whole-table computation reads f's images as `f.array`, one
-  read-only int32 array per VectorOfImages, built on first use;
-  `parse_function` hands over the array it parsed.
+* A VectorOfImages keeps its images in the form it was made in and
+  builds the other once, on first read: the constructor keeps its
+  validated tuple `images`; `parse_function`, `negation`, `identity` and
+  `mutate_pair` keep only the read-only int32 array `array`.  Every
+  whole-table computation, equality and hashing read `f.array`; the
+  Python loops that walk images one at a time (the generator's round
+  loop, the search) read `f.images`.
 
 The mapping matrix of f is the N x 2^N table whose cell (p, q) is the
 state reached from q by one single-coordinate update: coordinate p
@@ -33,7 +37,7 @@ without building the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 import functools
 import operator
 from pathlib import Path
@@ -49,35 +53,60 @@ from .errors import FunctionFormatError, MutationError, ResourceLimitError
 MAX_TABLE_BITS = 16
 
 
-@dataclass(frozen=True)
 class VectorOfImages:
-    """A Boolean map f: B^N -> B^N as the tuple (f(0), ..., f(2^N - 1)).
+    """A Boolean map f: B^N -> B^N as the vector (f(0), ..., f(2^N - 1)).
 
     `images` may be given as any sequence of integers, numpy arrays
-    included; it is stored as a tuple of Python ints, so equal maps
-    compare equal and hash alike.  A non-integer image is a TypeError.
+    included; it is kept as a tuple of Python ints.  A non-integer image
+    is a TypeError.
 
-    `array` holds the same images as a read-only int32 numpy array.  It
-    is built on first use and then kept; it is not a dataclass field, so
-    equality, hashing and repr see `images` alone.
+    The images are held in two forms, each built from the other on
+    first read and then kept:
+
+    * `images`, a tuple of Python ints, which this constructor keeps;
+    * `array`, a read-only int32 numpy array, which the functions of
+      this module that build a map without checking it
+      (`parse_function`, `negation`, `identity`, `mutate_pair`) keep
+      alone, so that a wide map costs no 2^N-int tuple until one is read.
+
+    Equality and hashing read `array`, so a map compares equal and
+    hashes alike in either form; the repr shows `n_bits` and `images`.
+    Instances are immutable.
     """
 
     n_bits: int
-    images: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n_bits < 2:
-            raise ValueError(f"n_bits must be >= 2, got {self.n_bits}")
-        images = tuple(map(operator.index, self.images))
-        object.__setattr__(self, "images", images)
-        size = 1 << self.n_bits
+    def __init__(self, n_bits: int, images):
+        if n_bits < 2:
+            raise ValueError(f"n_bits must be >= 2, got {n_bits}")
+        images = tuple(map(operator.index, images))
+        size = 1 << n_bits
         if len(images) != size:
             raise ValueError(
-                f"expected {size} images for n_bits={self.n_bits}, got {len(images)}"
+                f"expected {size} images for n_bits={n_bits}, got {len(images)}"
             )
         if min(images) < 0 or max(images) >= size:
             q = next(q for q, v in enumerate(images) if not 0 <= v < size)
             raise ValueError(f"image {images[q]} at position {q} is outside [0, {size - 1}]")
+        object.__setattr__(self, "n_bits", n_bits)
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n_bits == other.n_bits and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.n_bits, self.array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n_bits={self.n_bits!r}, images={self.images!r})"
 
     @property
     def size(self) -> int:
@@ -92,8 +121,13 @@ class VectorOfImages:
         return (value >> (self.n_bits - p)) & 1
 
     @functools.cached_property
+    def images(self) -> tuple[int, ...]:
+        """The images as a tuple of Python ints, built on first read."""
+        return tuple(self.array.tolist())
+
+    @functools.cached_property
     def array(self) -> np.ndarray:
-        """The images as a read-only int32 array, built on first use."""
+        """The images as a read-only int32 array, built on first read."""
         array = np.array(self.images, dtype=np.int32)
         array.flags.writeable = False
         return array
@@ -125,14 +159,13 @@ def negation(n_bits: int) -> VectorOfImages:
     """The map complementing every coordinate: images[q] = 2^N - 1 - q."""
     _check_width(n_bits)
     # mask ^ q = mask - q for q in [0, mask]
-    mask = (1 << n_bits) - 1
-    return _unchecked(n_bits, tuple(range(mask, -1, -1)), np.arange(mask, -1, -1, dtype=np.int32))
+    return _unchecked(n_bits, np.arange((1 << n_bits) - 1, -1, -1, dtype=np.int32))
 
 
 def identity(n_bits: int) -> VectorOfImages:
     """The map leaving every state fixed: images[q] = q."""
     _check_width(n_bits)
-    return _unchecked(n_bits, tuple(range(1 << n_bits)), np.arange(1 << n_bits, dtype=np.int32))
+    return _unchecked(n_bits, np.arange(1 << n_bits, dtype=np.int32))
 
 
 def _check_width(n_bits: int) -> None:
@@ -187,7 +220,7 @@ def is_balanced(f: VectorOfImages) -> BalanceVerdict:
         if np.count_nonzero(flips) < flips.size:
             i = int(flips.argmin())  # the first pair, in q order, that agrees in bit w
             q = i + (i // w + 1) * w
-            return BalanceVerdict(False, (p, q ^ ((f.images[q] ^ q) & w)))
+            return BalanceVerdict(False, (p, q ^ ((int(f.array[q]) ^ q) & w)))
     return BalanceVerdict(True)
 
 
@@ -248,31 +281,29 @@ def mutate_pair(f: VectorOfImages, j: int, i: int) -> VectorOfImages:
     q = j - 1
     w = 1 << (i - 1)
     partner = q ^ w
-    a, b = f.images[q], f.images[partner]
+    a, b = f.array[[q, partner]].tolist()
     neg_q, neg_partner = mask ^ q, mask ^ partner
     if (a, b) != (neg_q, neg_partner) and (a, b) != (neg_partner, neg_q):
         raise MutationError(
             f"cannot flip bit {i} of entry {j}: the pair ({j}, {partner + 1}) "
             f"holds ({a}, {b}), already edited at another bit"
         )
-    imgs = list(f.images)
-    imgs[q], imgs[partner] = b, a
-    return _unchecked(n, tuple(imgs))  # a swap keeps f's images valid
+    array = f.array.copy()
+    array[q], array[partner] = b, a
+    return _unchecked(n, array)  # a swap keeps f's images valid
 
 
-def _unchecked(n_bits: int, images: tuple[int, ...], array: Optional[np.ndarray] = None) -> VectorOfImages:
-    """A VectorOfImages from a tuple of ints already known to be valid.
+def _unchecked(n_bits: int, array: np.ndarray) -> VectorOfImages:
+    """A VectorOfImages holding `array`, int32 images already known to be valid.
 
-    Skips the conversion and range check of `VectorOfImages.__post_init__`,
-    which cost milliseconds at N=16.  An int32 `array` of the same images
-    becomes f.array, made read-only.
+    Skips the conversion and range check of the constructor, which cost
+    milliseconds at N=16, and builds no tuple: `array` becomes f.array,
+    made read-only, and f.images is built from it on first read.
     """
     f = object.__new__(VectorOfImages)
     object.__setattr__(f, "n_bits", n_bits)
-    object.__setattr__(f, "images", images)
-    if array is not None:
-        array.flags.writeable = False
-        object.__setattr__(f, "array", array)
+    array.flags.writeable = False
+    object.__setattr__(f, "array", array)
     return f
 
 
@@ -359,7 +390,7 @@ _IMAGE_BYTES = bytes(c if 48 <= c <= 57 else 32 if c in b"\t\x1f " else 120 for 
 
 
 def format_function(f: VectorOfImages) -> str:
-    return f"{f.n_bits}\n{' '.join(str(v) for v in f.images)}\n"
+    return f"{f.n_bits}\n{' '.join(map(str, f.array.tolist()))}\n"
 
 
 def parse_function(text: str) -> VectorOfImages:
@@ -389,8 +420,7 @@ def parse_function(text: str) -> VectorOfImages:
         if b"x" not in raw:
             values = np.fromstring(raw, dtype=np.int64, sep=" ")
             if len(values) == size and values.max() < size:
-                array = values.astype(np.int32)
-                return _unchecked(n_bits, tuple(array.tolist()), array)
+                return _unchecked(n_bits, values.astype(np.int32))
     tokens = list(re.finditer(r"\S+", lines[1]))
     if len(tokens) != size:
         column = tokens[size].start() + 1 if len(tokens) > size else len(lines[1]) + 1
@@ -409,7 +439,7 @@ def parse_function(text: str) -> VectorOfImages:
                 f"image {v} outside [0, {size - 1}]", 2, tok.start() + 1
             )
         images.append(v)
-    return _unchecked(n_bits, tuple(images))
+    return _unchecked(n_bits, np.array(images, dtype=np.int32))
 
 
 def read_function(path: str | Path) -> VectorOfImages:

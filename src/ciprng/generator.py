@@ -12,8 +12,10 @@ every block's updates through one of three engines, fixed when the
 generator is built:
 
 * "flips", when f is close to the negation, whose update at a digit
-  flips it: a block's states are the seed XOR a prefix XOR of its
-  masks, stepped past the few updates that f's defects hold;
+  flips it: a block's states are the seed XOR an exclusive prefix XOR
+  of its masks, gathered once, stepped past the few updates that f's
+  defects hold; under the negation itself, which has none, no search
+  for them runs;
 * "composed", for other f at narrow N: a walk through a table of
   composed update groups, built from f's mapping matrix as
   `func.mapping_matrix` gives it;
@@ -68,7 +70,10 @@ _GROUP_TABLES = 16
 # margin of four over the nearer.
 _FLIP_RATE = 1 / 1024
 # Updates in the first window _flip_rounds checks after a held update, and
-# in the widest window, which bounds its temporaries (64 KiB each).
+# in the widest window.  A window's states, masks, defects and held test
+# are int32 temporaries of one entry per update, so the widest window
+# bounds each to 64 KiB; the block's one array of one entry per update
+# is the prefix XOR of its masks.
 _FLIP_WINDOW = 256
 _FLIP_WINDOW_MAX = 1 << 14
 # Held updates a "flips" block may meet, one per _HELD_SHARE updates and at
@@ -144,6 +149,7 @@ class CiGenerator:
             self.path = "round"
             return
         self._defects, rate = _defects(config.f)
+        self._held = rate > 0  # whether any update can be held: not under the negation
         if rate <= _FLIP_RATE:
             self.path = "flips"
         elif (config.f.n_bits + 1) << config.f.n_bits <= _GROUP_ENTRIES:
@@ -239,46 +245,53 @@ class CiGenerator:
     def _flip_rounds(self, updates: np.ndarray, coords: np.ndarray, out: np.ndarray) -> None:
         """Flip the masks' digits as the negation does, stepping only at held updates.
 
-        With no update held, the state after update j is x XOR prefix[j],
-        the XOR of the block's masks up to j.  An update is held when
+        With no update held, the state before update j is x XOR before[j],
+        the XOR of the block's masks ahead of j, gathered once; mask j is
+        before[j] XOR before[j + 1].  An update is held when
         d(state) & mask != 0 (see _defects): the state stays, so from
-        there on every state is the prefix's with that mask XORed in.  A
-        window of updates finds its first held one in one gather of d; a
-        window holding none makes the next twice as long.  Past the
-        block's budget of held updates, the rest of the block, from the
-        current round on, goes to the scalar loop.
+        there on every state is the prefix's with that mask XORed in,
+        which c tracks.  A window of updates finds its first held one in
+        one gather of d; a window holding none makes the next twice as
+        long.  A generator with no defects (the negation) holds none, and
+        skips the search.  Past the block's budget of held updates, the
+        rest of the block, from the current round on, goes to the scalar
+        loop.
         """
         n = self.config.f.n_bits
         defects = self._defects
         weights = np.array([0] + [1 << (n - s) for s in range(1, n + 1)], dtype=np.int32)
-        prefix = weights[coords]
-        np.bitwise_xor.accumulate(prefix, out=prefix)
-        ends = np.cumsum(updates) - 1  # each round's last update
+        # one block-sized array: the masks are gathered into place (mode
+        # "clip" writes out unbuffered; every coordinate is in [1, N]) and
+        # turned into their prefix XOR in place
+        before = np.empty(coords.size + 1, dtype=np.int32)
+        before[0] = 0
+        np.take(weights, coords, out=before[1:], mode="clip")
+        np.bitwise_xor.accumulate(before[1:], out=before[1:])
+        ends = np.cumsum(updates)  # before[ends[r]] is the state after round r, held updates aside
+        x0 = c = self.x  # the state before update j is before[j] ^ c
+        held, cs = [], [c]  # the updates held, and c after each
+        pos = 0 if self._held else coords.size
+        size = _FLIP_WINDOW
         budget = max(16, coords.size // _HELD_SHARE)
-        x0 = c = self.x  # the state after update j is prefix[j] ^ c
-        held = []
-        pos, size = 0, _FLIP_WINDOW
         while pos < coords.size and len(held) <= budget:
-            stop = pos + size
-            masks = weights[coords[pos:stop]]
-            before = prefix[pos:stop] ^ masks
-            before ^= c
-            hit = np.flatnonzero(defects[before] & masks)
+            stop = min(pos + size, coords.size)
+            states = before[pos:stop] ^ c
+            masks = before[pos + 1 : stop + 1] ^ before[pos:stop]
+            hit = np.flatnonzero(defects[states] & masks)
             if hit.size:
                 i = int(hit[0])
                 held.append(pos + i)
                 c ^= int(masks[i])
+                cs.append(c)
                 pos, size = pos + i + 1, _FLIP_WINDOW
             else:
                 pos, size = stop, min(2 * size, _FLIP_WINDOW_MAX)
-        # a held update XORs its mask into every later state
-        undone = np.zeros(len(held) + 1, dtype=np.int32)
-        np.bitwise_xor.accumulate(weights[coords[held]], out=undone[1:])
-        out[:] = prefix[ends] ^ undone[np.searchsorted(held, ends, side="right")]
-        out ^= x0
+        # a held update XORs its mask into c for every later state
+        out[:] = before[ends]
+        out ^= np.array(cs)[np.searchsorted(held, ends, side="left")]
         if pos < coords.size:
-            r = int(np.searchsorted(ends, pos))  # rounds before r ended before pos
-            start = int(ends[r - 1]) + 1 if r else 0
+            r = int(np.searchsorted(ends, pos, side="right"))  # rounds before r ended at or before pos
+            start = int(ends[r - 1]) if r else 0
             self.x = int(out[r - 1]) if r else x0
             self._scalar_rounds(updates[r:], coords[start:], out[r:])
 
@@ -312,7 +325,7 @@ def _defects(f: VectorOfImages) -> tuple[np.ndarray, float]:
     updates over uniform states, sum of popcount d(x) over N 2^N, 0 for
     the negation.  The array is read-only.  They are computed afresh from
     f.array for each bulk generator: at N=16 that takes about 0.1 ms,
-    less than hashing f's 65536-entry tuple to look them up.
+    less than hashing f's 65536 images to look them up.
     """
     d = f.array ^ np.arange(f.mask, -1, -1, dtype=np.int32)
     d.flags.writeable = False

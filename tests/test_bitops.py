@@ -95,3 +95,16 @@ class TestStateBits:
         states = np.array([3, 9, 15])
         expected = "".join(format(int(s), "04b") for s in states)
         assert bitops.bits_to_str(bitops.state_bits(states, 4)) == expected
+
+    @pytest.mark.parametrize("n_bits", range(2, 17))
+    def test_matches_shift_formula(self, n_bits):
+        # the formula state_bits had: one int64 shift per state and digit
+        rng = np.random.default_rng(n_bits)
+        states = np.concatenate([rng.integers(0, 1 << n_bits, 1000), [0, (1 << n_bits) - 1]])
+        shifts = np.arange(n_bits - 1, -1, -1, dtype=np.int64)
+        for given_states in (states, states.tolist(), states[:0], []):
+            arr = np.asarray(given_states, dtype=np.int64)
+            expected = ((arr[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+            got = bitops.state_bits(given_states, n_bits)
+            assert got.dtype == np.uint8 and got.shape == expected.shape
+            assert np.array_equal(got, expected)

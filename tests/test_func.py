@@ -85,13 +85,42 @@ class TestArray:
         with pytest.raises(ValueError):
             f.array[0] = 0
 
-    def test_not_a_field(self):
-        built, lazy = variant(2), variant(2)
-        built.array
-        assert "array" in vars(built) and "array" not in vars(lazy)
-        assert [field.name for field in dataclasses.fields(func.VectorOfImages)] == ["n_bits", "images"]
-        assert built == lazy and hash(built) == hash(lazy) and repr(built) == repr(lazy)
-        assert "array" not in repr(built)
+    @pytest.mark.parametrize("n_bits", [2, 4, 12, 16])
+    def test_tuple_made_and_array_made_agree(self, n_bits):
+        # the constructor keeps a tuple, the parser an array; neither builds the other here
+        made = random_function(n_bits, n_bits)
+        parsed = func.parse_function(func.format_function(random_function(n_bits, n_bits)))
+        assert "array" not in vars(made) and "images" not in vars(parsed)
+        assert made == parsed and parsed == made and hash(made) == hash(parsed)
+        assert repr(made) == repr(parsed) == f"VectorOfImages(n_bits={n_bits}, images={made.images!r})"
+        assert {made, parsed} == {parsed}
+        other = func.VectorOfImages(n_bits, (made.images[0] ^ 1,) + made.images[1:])
+        assert made != other and parsed != other
+        assert made != made.images and parsed != parsed.images
+
+    @pytest.mark.parametrize("make", ["parse_function", "negation", "identity", "mutate_pair"])
+    def test_array_made_holds_no_tuple_until_read(self, make):
+        build = {
+            "parse_function": lambda: func.parse_function(func.format_function(random_function(16, 3))),
+            "negation": lambda: func.negation(16),
+            "identity": lambda: func.identity(16),
+            "mutate_pair": lambda: func.mutate_pair(func.negation(16), 1, 1),
+        }
+        f = build[make]()
+        assert "images" not in vars(f) and "array" in vars(f)
+        assert func.is_balanced(f).balanced == (make != "parse_function") and "images" not in vars(f)
+        images = f.images
+        assert type(images) is tuple and all(type(v) is int for v in images)
+        assert f.images is images and images == tuple(f.array.tolist())
+
+    def test_immutable(self):
+        for f in (variant(2), func.negation(4)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                f.n_bits = 3
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                f.images = (0, 1, 2, 3)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del f.array
 
     @pytest.mark.parametrize("n_bits", [2, 4, 12, 16])
     def test_parse_hands_over_its_array(self, n_bits):

@@ -728,6 +728,44 @@ class TestFlipEngine:
         gen._flip_rounds(np.array(updates), np.array(coords), out)
         assert list(out) == self.round_ends(f.images, n_bits, x0, updates, coords)
 
+    @pytest.mark.parametrize("n_bits", range(2, func.MAX_TABLE_BITS + 1))
+    def test_negation_chunked_calls_search_no_held_update(self, n_bits):
+        # the negation holds no update, so no window reads its defect table:
+        # without one, chunked calls still equal the round loop
+        chunks = [1, 7, 63, 64, 65, generator._BLOCK_ROUNDS + 1]
+        bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits)
+        assert bulk.path == "flips" and not bulk._held
+        bulk._defects = None
+        combined = np.concatenate([bulk.states(c) for c in chunks])
+        assert list(combined) == [loop.round() for _ in range(sum(chunks))]
+        TestFastPath.assert_same_end(bulk, loop)
+
+    @pytest.mark.parametrize("where", ["first, then last", "last, first, last"])
+    def test_held_at_window_edges_over_chunked_calls(self, where):
+        # After a held update at p the next window is [p + 1, p + 1 + W):
+        # updates 0 and W are the first of one window and the last of the
+        # next; W - 1, W and 2W the last of the first window, then the first
+        # and the last of the next.  The defects sit on the states of the
+        # last call's trajectory, so its block meets them there.
+        window = generator._FLIP_WINDOW
+        positions = {"first, then last": [0, window], "last, first, last": [window - 1, window, 2 * window]}[where]
+        n_bits, k, x0 = 16, 49, 12345
+        chunks = [1, 7, 64, 200]
+        updates, coords = self.draws(n_bits, k, sum(chunks))
+        start = sum(updates[: sum(chunks[:-1])])  # the last call's first update
+        images = list(func.negation(n_bits).images)
+        for p in positions:
+            trace = [x0] + interpret_updates(images, n_bits, x0, coords)
+            images[trace[start + p]] ^= 1 << (n_bits - coords[start + p])
+        trace = [x0] + interpret_updates(images, n_bits, x0, coords)
+        assert [t - start for t in range(len(coords)) if trace[t + 1] == trace[t]] == positions
+        bulk, loop = TestFastPath.make_pair(images, n_bits, k=k, seed_state=x0)
+        assert bulk.path == "flips" and bulk._held
+        combined = np.concatenate([bulk.states(c) for c in chunks])
+        assert list(combined) == [loop.round() for _ in range(sum(chunks))]
+        assert list(combined) == self.round_ends(images, n_bits, x0, updates, coords)
+        TestFastPath.assert_same_end(bulk, loop)
+
     @pytest.mark.parametrize("seed_state, handed_off", [(0, True), (1, True), (0b0110, False), (40000, False)])
     def test_trapped_seed_hands_off_to_scalar_loop(self, seed_state, handed_off):
         # inside the trap 15 updates in 16 are held; outside, the trap and

@@ -349,10 +349,23 @@ def cusum_z_grid(n: int) -> list[int]:
 @pytest.mark.parametrize("n", [100, 10_000, 1_000_000])
 def test_cusum_trim_drops_only_zero_terms(n):
     # the terms left out are exactly 0.0 in double, so the trimmed sum
-    # equals the sum over every k
+    # equals the sum over every k, clipped to [0, 1] alike
     for z in cusum_z_grid(n):
         sum1, sum2 = cusum_terms(n, z, stats._ndtr)
-        assert stats._cusum_p(n, z) == 1.0 - math.fsum(sum1) + math.fsum(sum2), z
+        assert stats._cusum_p(n, z) == min(1.0, max(0.0, 1.0 - math.fsum(sum1) + math.fsum(sum2))), z
+
+
+def test_cusum_p_clipped_to_unit_interval():
+    # a small excursion leaves both sums near 0, where 1 - sum1 + sum2
+    # can round a few ulps past 1
+    assert stats.cumulative_sums("01" * 50000) == (1.0, 1.0)
+    assert stats._cusum_p(10**6, 1) == 1.0
+    rng = np.random.default_rng(21)
+    streams = ["01" * 50000, "0011" * 25000, rng.integers(0, 2, 100_000, dtype=np.uint8), "1" * 100_000]
+    for bits in streams:
+        for result in stats.run_battery(bits).results:
+            for p in (result.p_value, *(sub.p_value for sub in result.sub_results)):
+                assert 0.0 <= p <= 1.0, (result.name, p)
 
 
 @pytest.mark.parametrize("n", [100, 10_000])
