@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time one layer of ciprng on a parent tree and this checkout, alternating the two.
 
-    python scripts/bench.py --layer draws|kernel|battery|e2e --parent ../parent/src --parent-label 83e2b51 --label change
+    python scripts/bench.py --layer draws|kernel|battery|e2e|verify --parent ../parent/src --parent-label 83e2b51 --label change
 
 `--parent` is the `src` of the tree to compare against (the directory above
 it is that tree's root); the other tree is this checkout's `src`.  An entry
@@ -28,7 +28,13 @@ The layers:
 * `e2e`: the north star's end-to-end commands: `gen` of 1 MiB at N=4; `gen`
   of 10^6 bits then `test` on its file; `search` at N=4, depth 8, with
   chaos; and acceptance test 07, run by pytest in the tree's root, so that
-  the tree's own `pythonpath` setting picks its `src`.
+  the tree's own `pythonpath` setting picks its `src`;
+* `verify`: the chaos check `is_strongly_connected` on a built graph of the
+  negation at N=12, the variant of its 16 seeded paired edits, the Gray-code
+  path at N=16 (balanced, 2^N - 1 reachability levels deep) and seeded
+  random images at N=12 and 16 (not balanced), and the command
+  `ciprng verify --porcelain` on that Gray path and on the N=12 random
+  images.
 
 Every entry runs in a fresh child process per tree in each of `ROUNDS`
 rounds, the two trees alternating entry by entry and round by round, so
@@ -63,6 +69,7 @@ BITS = 1_000_000
 BATTERY_SEED = 18
 DRAWS_SEED = 0x5EED
 KERNEL_SEED = 22
+VERIFY_SEED = 24
 WIDE_BYTES = 4096
 STATE_BITS = 1 << 21
 CIPRNG = [sys.executable, "-m", "ciprng"]
@@ -75,6 +82,8 @@ GEN = "gen --n-bits 4 --bytes 1048576"
 GEN_TEST = "gen --n-bits 4 --bytes 125000, test --stream-format raw"
 SEARCH = "search --n-bits 4 --max-mutations 8 --require-chaos"
 ACCEPTANCE_07 = "acceptance 07"
+VERIFY_CALLS = ("negation(12)", "variant(12)", "gray_path(16)", "random(12)", "random(16)")
+VERIFY_FILES = ("gray_path(16)", "random(12)")
 ENTRIES = {
     "draws": tuple(
         name
@@ -97,6 +106,8 @@ ENTRIES = {
         "ciprng test",
     ),
     "e2e": (GEN, GEN_TEST, SEARCH, ACCEPTANCE_07),
+    "verify": tuple(f"is_strongly_connected({f})" for f in VERIFY_CALLS)
+    + tuple(f"ciprng verify --porcelain {f}" for f in VERIFY_FILES),
 }
 METHOD = (
     "  A call entry is the min of `repeats` calls (ms) after one warm-up call, and its `peak_mib` "
@@ -136,6 +147,17 @@ HEADERS = {
             "pytest test, 160 streams of 10^6 bits, run in the tree's root." + METHOD
         ),
     },
+    "verify": {
+        "what": (
+            "The chaos check: `is_strongly_connected` on the built iteration graph of each function, "
+            "and `python -m ciprng verify --porcelain` on its function file.  `variant(12)` is the "
+            "N=12 negation after 16 seeded paired edits; `gray_path(16)` is the balanced function "
+            "whose graph, loops aside, is the Gray-code Hamiltonian path; `random(n)` has "
+            "random.Random(seed + n) images." + METHOD
+        ),
+        "seed": VERIFY_SEED,
+        "repeats": REPEATS,
+    },
 }
 
 
@@ -155,6 +177,10 @@ def commands(root: Path, tmp: Path) -> dict[str, list[tuple[list[str], Path]]]:
             ([*CIPRNG, "test", out, "--stream-format", "raw"], tmp),
         ],
         SEARCH: [([*CIPRNG, "search", "--n-bits", "4", "--max-mutations", "8", "--require-chaos"], tmp)],
+        **{
+            f"ciprng verify --porcelain {f}": [([*CIPRNG, "verify", str(tmp / f"{f}.fn"), "--porcelain"], tmp)]
+            for f in VERIFY_FILES
+        },
         ACCEPTANCE_07: [
             (
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -182,9 +208,10 @@ def run_command(steps: list[tuple[list[str], Path]], env: dict) -> tuple[float, 
         _, status, usage = os.wait4(child.pid, 0)
         wall += time.perf_counter() - start
         child.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait for it again
-        # 1 from `ciprng test` means a test failed, which the timing does not mind;
-        # from anything else it is a failure, such as an import error
-        if child.returncode not in ((0, 1) if argv[:4] == [*CIPRNG, "test"] else (0,)):
+        # 1 from `ciprng test` means a test failed, and from `ciprng verify`
+        # that the function is not balanced or not chaotic, which the timing
+        # does not mind; from anything else it is a failure, such as an import error
+        if child.returncode not in ((0, 1) if argv[:3] == CIPRNG and argv[3] in ("test", "verify") else (0,)):
             sys.exit(f"{' '.join(argv)} exited with {child.returncode}")
         if usage.ru_maxrss <= floor:
             sys.exit(f"{' '.join(argv)} read no more peak RSS than the harness itself")
@@ -227,6 +254,51 @@ def edits(n_bits: int, count: int) -> list[tuple[int, int]]:
     return out
 
 
+def variant(n_bits: int):
+    """The negation after 16 seeded paired edits (4 at N=4)."""
+    from ciprng import func
+
+    f = func.negation(n_bits)
+    for j, i in edits(n_bits, 16 if n_bits > 4 else 4):
+        f = func.mutate_pair(f, j, i)
+    return f
+
+
+def verify_images(name: str) -> tuple[int, list[int]]:
+    """Width and images of a `verify` function, in pure Python.
+
+    `gray_path(n)` flips, at each vertex, the bits of its edges on the
+    Gray-code path g_j = j XOR (j >> 1), so its graph is that path with
+    arcs both ways, plus loops; `random(n)` draws from random.Random(seed + n).
+    """
+    kind, n_bits = name.rstrip(")").split("(")
+    size = 1 << int(n_bits)
+    if kind == "random":
+        rng = random.Random(VERIFY_SEED + int(n_bits))
+        return int(n_bits), [rng.randrange(size) for _ in range(size)]
+    order = [j ^ (j >> 1) for j in range(size)]
+    flips = [0] * size
+    for a, b in zip(order, order[1:]):
+        flips[a] ^= a ^ b
+        flips[b] ^= a ^ b
+    return int(n_bits), [q ^ flips[q] for q in range(size)]
+
+
+def verify_call(name: str, tmp: Path):
+    """The call of a `verify` entry: the chaos check on a graph built beforehand."""
+    from ciprng import func, graph
+
+    spec = name[len("is_strongly_connected("):-1]
+    if spec == "negation(12)":
+        f = func.negation(12)
+    elif spec == "variant(12)":
+        f = variant(12)
+    else:
+        f = func.VectorOfImages(*verify_images(spec))
+    g = graph.build_graph(f)
+    return lambda: graph.is_strongly_connected(g)
+
+
 def kernel_call(name: str, tmp: Path):
     """The call of a `kernel` entry."""
     import numpy as np
@@ -234,12 +306,6 @@ def kernel_call(name: str, tmp: Path):
     from ciprng import bitops, func
     from ciprng.generator import CiGenerator, GeneratorConfig
     from ciprng.sources import Xorshift64
-
-    def variant(n_bits):
-        f = func.negation(n_bits)
-        for j, i in edits(n_bits, 16 if n_bits > 4 else 4):
-            f = func.mutate_pair(f, j, i)
-        return f
 
     def states(f):
         n = f.n_bits
@@ -289,7 +355,8 @@ def battery_call(name: str, tmp: Path):
 def time_call(layer: str, name: str) -> tuple[float, float]:
     """The best ms of a call entry, and the tracemalloc peak (MiB) of one more call."""
     with tempfile.TemporaryDirectory() as tmp:
-        call = {"draws": draws_call, "kernel": kernel_call, "battery": battery_call}[layer](name, Path(tmp))
+        calls = {"draws": draws_call, "kernel": kernel_call, "battery": battery_call, "verify": verify_call}
+        call = calls[layer](name, Path(tmp))
         call()  # first use builds any lookup table
         best = float("inf")
         for _ in range(REPEATS):
@@ -350,6 +417,9 @@ def measure(layer: str, trees: dict[str, Path]) -> dict[str, dict]:
         steps = {label: commands(src.parent, tmp) for label, src in trees.items()}
         numpy_version = {label: check_import(src, envs[label], tmp) for label, src in trees.items()}
         subprocess.run([sys.executable, "-c", STREAM, tmp / "stream.bin"], env=tree_env(ROOT / "src"), check=True)
+        for f in VERIFY_FILES:
+            n_bits, images = verify_images(f)
+            (tmp / f"{f}.fn").write_text(f"{n_bits}\n{' '.join(map(str, images))}\n", encoding="ascii")
         for r in range(ROUNDS):
             for i, name in enumerate(names):
                 for label in list(trees)[:: 1 if (r + i) % 2 == 0 else -1]:

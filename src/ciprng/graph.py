@@ -7,16 +7,15 @@ arc's head is cell (i, x) of f's mapping matrix, so the graph is the
 matrix itself: `IterationGraph` holds the (N, 2^N) array that
 `func.mapping_matrix` returns and every routine here reads it.  The
 generator built on f behaves chaotically exactly when this graph is
-strongly connected.  When every row of the mapping matrix is a
-permutation (f balanced), one reachability sweep from vertex 0 decides
-it; any other graph, and any graph the sweep does not find connected
-within 4N levels, goes to scipy's strong-components routine, which
-alone gives the component count and a witness.
+strongly connected.  When every vertex has in-degree N, as in every
+balanced f's graph, a numpy union-find labels the components; any other
+graph goes to an iterative Tarjan's algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -74,28 +73,75 @@ def build_graph(f: VectorOfImages) -> IterationGraph:
 
 
 def _component_labels(g: IterationGraph) -> tuple[int, np.ndarray]:
-    """The number of strongly connected components of g and each vertex's
-    component label, from scipy's strong-components routine (Pearce's
-    algorithm, in C)."""
-    # imported here, not at module level: scipy.sparse adds about 0.12 s and
-    # 11 MiB to every `import ciprng`, and only graphs the sweep cannot
-    # settle need it
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
+    """The number of strong components of g, and each vertex's label, the
+    smallest vertex of its component.  When every vertex has in-degree N,
+    every arc lies on a cycle, so `_union_find` finds the components."""
+    regular = (np.bincount(g.matrix.ravel(), minlength=g.n_vertices) == g.n_bits).all()
+    label = _union_find(g) if regular else _tarjan(g)
+    return int(np.count_nonzero(label == np.arange(g.n_vertices))), label
 
-    n = g.n_vertices
-    heads = g.matrix.ravel()
-    tails = np.tile(np.arange(n), g.n_bits)
-    arcs = csr_array((np.ones(heads.size, dtype=np.int8), (tails, heads)), shape=(n, n))
-    return connected_components(arcs, directed=True, connection="strong")
+
+def _union_find(g: IterationGraph) -> np.ndarray:
+    """Component labels of a graph whose every arc lies on a cycle, by hooking
+    and shortcutting roots (Shiloach and Vishkin, 1982): shortcut until every
+    vertex points at a root, hook each root to the least root an arc from its
+    tree enters, and repeat until nothing hooks.  Roots only fall, so none is
+    above its vertex; at the end they never fall along an arc, so they are
+    constant around every cycle: each is the smallest vertex of its component."""
+    root, hooked = None, np.arange(g.n_vertices, dtype=g.matrix.dtype)
+    while not np.array_equal(hooked, root):
+        root = hooked
+        while not np.array_equal(shortcut := root[root], root):
+            root = shortcut
+        hooked = root.copy()
+        np.minimum.at(hooked, root, np.take(root, g.matrix).min(axis=0))  # a loop hooks nothing
+    return root
+
+
+def _tarjan(g: IterationGraph) -> np.ndarray:
+    """Strong-component labels by Tarjan's algorithm (1972) on an explicit
+    stack of (vertex, arc iterator) pairs, not recursion.  A vertex's place
+    on the component stack is kept, so popping a component costs its size."""
+    n, width = g.n_vertices, g.n_bits
+    arcs = memoryview(np.ascontiguousarray(g.matrix.T).ravel())  # x's heads, as ints, at [x N, x N + N)
+    order, low, at, label, stack = [-1] * n, [0] * n, [0] * n, [-1] * n, []
+    tick = itertools.count()
+
+    def enter(v):
+        order[v] = low[v] = next(tick)
+        at[v] = len(stack)
+        stack.append(v)
+        return v, iter(arcs[v * width : (v + 1) * width])
+
+    for start in range(n):
+        path = [enter(start)] if order[start] < 0 else []
+        while path:
+            v, heads = path[-1]
+            least = low[v]
+            for w in heads:
+                if order[w] < 0:
+                    low[v] = least
+                    path.append(enter(w))
+                    break
+                if order[w] < least and label[w] < 0:  # w is still on the stack
+                    least = order[w]
+            else:
+                low[v] = least
+                path.pop()
+                if least == order[v]:
+                    component, stack[at[v] :] = stack[at[v] :], []
+                    smallest = min(component)
+                    for x in component:
+                        label[x] = smallest
+                else:  # v is no component's first vertex, so not the start
+                    u = path[-1][0]
+                    low[u] = min(low[u], least)
+    return np.array(label)
 
 
 def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
-    """The strongly connected components of g.
-
-    Components come in ascending order of their smallest vertex, and the
-    vertices of each in ascending order.
-    """
+    """The strongly connected components of g, in ascending order of their
+    smallest vertex, and the vertices of each in ascending order."""
     _, labels = _component_labels(g)
     comps: dict[int, list[int]] = {}
     for x, label in enumerate(labels.tolist()):
@@ -103,65 +149,19 @@ def strongly_connected_components(g: IterationGraph) -> list[list[int]]:
     return list(comps.values())
 
 
-def _permutations_reach_all(g: IterationGraph) -> bool:
-    """True when every row of the mapping matrix is a permutation and a
-    forward sweep from vertex 0 reaches every vertex within 4N levels.
-
-    Cell (i, q) is q or q XOR w, w = 2^(N-1-i) being row i's digit, so
-    row i maps each pair (q, q XOR w) into itself: it is a permutation
-    exactly when the two cells of every pair differ, the test
-    `func.is_balanced` makes.  The sweep gathers the heads of all arcs
-    leaving one level's frontier at once.  A level costs 10-15 us of
-    numpy calls however small its frontier, so a deep sweep gives up and
-    leaves the graph to scipy: the negation and its paired-edit variants
-    take N + 1 levels, but the Gray-code Hamiltonian path takes 2^N - 1
-    (at N=16, 0.85 s against 39 ms in scipy).
-    """
-    rows = g.matrix
-    for i, row in enumerate(rows):
-        pairs = row.reshape(-1, 2, 1 << (g.n_bits - 1 - i))  # [b, 0, r] and [b, 1, r]: q and q XOR w
-        if (pairs[:, 0] == pairs[:, 1]).any():
-            return False
-    seen = np.zeros(g.n_vertices, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=rows.dtype)
-    for _ in range(4 * g.n_bits):
-        heads = rows[:, frontier]
-        frontier = np.unique(heads[~seen[heads]])
-        if not frontier.size:
-            break
-        seen[frontier] = True
-    return bool(seen.all())
-
-
 def is_strongly_connected(g: IterationGraph) -> ChaosVerdict:
     """Decide the chaos criterion: one component covering all vertices.
 
-    When every label i is a permutation sigma_i of the vertices, each arc
-    x -> sigma_i(x) lies on a cycle of sigma_i, so the head reaches the
-    tail back: the graph is a union of cycles, in which v reaches u
-    whenever u reaches v.  There "vertex 0 reaches every vertex" is the
-    same as strong connectivity, and one forward sweep settles it.
-    scipy's strong components are computed only when a row is not a
-    permutation or the sweep, capped at 4N levels, misses a vertex; they
-    give the component count and the witness.
-
     The witness (u, v): u is the smallest vertex of any sink, a component
-    that no arc leaves, and v is the smallest vertex outside u's
-    component.  Nothing outside a sink is reachable from it, so there is
-    no path from u to v.
+    that no arc leaves, and v is the smallest vertex outside u's component.
+    Nothing outside a sink is reachable from it: no path leads from u to v.
     """
-    # scipy alone would decide too, but on negation(12) its first call in a
-    # process takes 0.39 s and 33 MiB more peak RSS (loading scipy.sparse),
-    # the sweep 18 ms and 1.4 MiB (2-core Xeon)
-    if _permutations_reach_all(g):
-        return ChaosVerdict(True, 1)
     count, label = _component_labels(g)
     if count == 1:
         return ChaosVerdict(True, 1)
     # column x of the head labels holds the components x's arcs enter
     leaves = (label[g.matrix] != label).any(axis=0)
-    is_sink = np.ones(count, dtype=bool)
+    is_sink = np.ones(g.n_vertices, dtype=bool)
     is_sink[label[leaves]] = False
     u = int(np.flatnonzero(is_sink[label])[0])
     v = int(np.flatnonzero(label != label[u])[0])

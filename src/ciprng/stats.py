@@ -417,9 +417,8 @@ def _igamc(a: float, x: float) -> float:
     x^a e^-x / Gamma(a), which is taken as
     sqrt(a / 2 pi) exp(a ln(x/a) - d - r(a)) with d = x - a and r the
     remainder of Stirling's formula, so that no two terms of size a ln a
-    cancel; near x = a, ln(x/a) is log1p(d/a).  Edge values are scipy's:
-    Q(a, 0) = 1, Q(a, inf) = 0, and nan for x < 0, for a nan, and for
-    a <= 0.
+    cancel; near x = a, ln(x/a) is log1p(d/a).  Edge values: Q(a, 0) = 1,
+    Q(a, inf) = 0, and nan for x < 0, for a nan, and for a <= 0.
     """
     if not (a > 0.0 and x >= 0.0):
         return math.nan

@@ -70,6 +70,11 @@ def test_only_ciprng_test_may_exit_1(tmp_path):
     assert tested.returncode == 0, tested.stderr
     ms, mib = map(float, tested.stdout.split())
     assert ms > 0 and mib > 0
+    # `verify` exits 1 on a function that is not balanced or not chaotic,
+    # a verdict like a failed battery test
+    (tmp_path / "constant.fn").write_text("2\n3 3 3 3\n")
+    verified = harness(*bench.CIPRNG, "verify", "constant.fn", "--porcelain")
+    assert verified.returncode == 0, verified.stderr
 
 
 def test_a_child_peak_rss_at_the_harness_own_is_refused(tmp_path):
@@ -80,7 +85,12 @@ def test_a_child_peak_rss_at_the_harness_own_is_refused(tmp_path):
 
 @pytest.mark.parametrize(
     "layer, name",
-    [("draws", "words(407)"), ("kernel", "negation(16)"), ("battery", "frequency")],
+    [
+        ("draws", "words(407)"),
+        ("kernel", "negation(16)"),
+        ("battery", "frequency"),
+        ("verify", "is_strongly_connected(random(12))"),
+    ],
 )
 def test_one_call_per_layer_through_the_worker(layer, name, tmp_path):
     ms, mib = bench.time_in_worker(bench.tree_env(ROOT / "src"), tmp_path, layer, name)

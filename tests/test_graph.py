@@ -87,16 +87,7 @@ class TestStrongConnectivity:
         size = 1 << n_bits
         for _ in range(60):
             f = func.VectorOfImages(n_bits, tuple(rnd.randrange(size) for _ in range(size)))
-            g = graph.build_graph(f)
-            mine = {frozenset(c) for c in graph.strongly_connected_components(g)}
-            oracle = set(bfs_sccs(adjacency_of(g)))
-            assert mine == oracle
-            verdict = graph.is_strongly_connected(g)
-            assert verdict.strongly_connected == (len(oracle) == 1)
-            assert verdict.scc_count == len(oracle)
-            if not verdict.strongly_connected:
-                u, v = verdict.witness
-                assert not bfs_reachable(adjacency_of(g), u)[v]
+            assert_verdict_matches_oracle(graph.build_graph(f))
 
     def test_relabel_invariance_for_negation(self):
         # XOR-relabeling vertices of the negation's graph permutes arcs onto
@@ -112,16 +103,24 @@ class TestStrongConnectivity:
 
 
 def assert_verdict_matches_oracle(g):
+    """The verdict, the components, each vertex's label and the witness are
+    the BFS oracle's: a label is the smallest vertex of its component, u the
+    smallest vertex of any sink component and v the smallest outside it."""
     adjacency = adjacency_of(g)
     oracle = bfs_sccs(adjacency)
+    assert graph.strongly_connected_components(g) == [sorted(c) for c in oracle]
+    smallest = {x: min(c) for c in oracle for x in c}
+    assert graph._component_labels(g)[1].tolist() == [smallest[x] for x in range(g.n_vertices)]
     verdict = graph.is_strongly_connected(g)
     assert verdict.strongly_connected == (len(oracle) == 1)
     assert verdict.scc_count == len(oracle)
     if verdict.strongly_connected:
         assert verdict.witness is None
     else:
-        u, v = verdict.witness
-        assert not bfs_reachable(adjacency, u)[v]
+        sinks = [c for c in oracle if all(w in c for x in c for w in adjacency[x])]
+        u = min(min(c) for c in sinks)
+        sink = next(c for c in sinks if u in c)
+        assert verdict.witness == (u, min(x for x in range(len(adjacency)) if x not in sink))
     return verdict
 
 
@@ -145,7 +144,8 @@ def gray_path(n_bits, cut=False):
 
     Every arc of the path runs both ways, so each row of the mapping
     matrix is a permutation, and a sweep from vertex 0 meets one new
-    vertex per level: 2^N - 1 levels.
+    vertex per level: 2^N - 1 levels.  It also takes the union-find the
+    most rounds.
     """
     size = 1 << n_bits
     order = [j ^ (j >> 1) for j in range(size)]
@@ -159,6 +159,23 @@ def gray_path(n_bits, cut=False):
     return func.VectorOfImages(n_bits, tuple(q ^ flips[q] for q in range(size))), order
 
 
+def gray_cycle_removal(n_bits):
+    """The negation less the arcs of the reflected Gray cycle: at g_j it
+    keeps the bit that the step to g_(j+1) flips and complements the others.
+
+    Every vertex trades its arc to its successor on the cycle for a loop
+    and loses the arc in from its predecessor, so every in-degree stays N,
+    but the function is not balanced.
+    """
+    size = 1 << n_bits
+    order = [j ^ (j >> 1) for j in range(size)]
+    images = [0] * size
+    for j, q in enumerate(order):
+        flip = q ^ order[(j + 1) % size]  # the bit the step from q flips
+        images[q] = q ^ (size - 1) ^ flip
+    return func.VectorOfImages(n_bits, tuple(images))
+
+
 def apply_matching(n_bits, edges):
     """The negation with its images swapped across each edge of a matching."""
     images = list(func.negation(n_bits).images)
@@ -168,9 +185,9 @@ def apply_matching(n_bits, edges):
 
 
 class TestReachabilityShortcut:
-    """`is_strongly_connected` answers balanced graphs with one sweep from
-    vertex 0 and leaves every other case to `strongly_connected_components`;
-    the verdicts must be those of the BFS oracle either way."""
+    """`is_strongly_connected` labels a graph whose every in-degree is N by
+    union-find and leaves every other graph to Tarjan's algorithm; the
+    verdicts must be those of the BFS oracle either way."""
 
     def test_all_width2_functions(self):
         for images in itertools.product(range(4), repeat=4):
@@ -200,12 +217,11 @@ class TestReachabilityShortcut:
         assert verdict.scc_count == len(graph.strongly_connected_components(g))
 
     @pytest.mark.parametrize("n_bits", [2, 3, 4])
-    def test_matching_criterion_on_every_matching(self, n_bits, scipy_calls):
+    def test_matching_criterion_on_every_matching(self, n_bits, tarjan_calls):
         # the graph of a matching is Q_N minus the matching, plus loops; it is
         # strongly connected exactly when no direction is complete, and
         # search_functions(require_chaos=True) drops exactly those matchings;
-        # the sweep settles every chaotic one within its cap (2N levels at
-        # most), so scipy sees the dropped ones alone
+        # every matching is balanced, so the union-find settles all of them
         depth = 1 << (n_bits - 1)
         chaotic, dropped = [], []
         for f in func.search_functions(n_bits, depth):
@@ -213,7 +229,7 @@ class TestReachabilityShortcut:
             assert verdict.strongly_connected != has_complete_direction(f)
             (chaotic if verdict.strongly_connected else dropped).append(f)
         assert len(chaotic) == {2: 7 - 2, 3: 108 - 3, 4: 41025 - 4}[n_bits]
-        assert len(scipy_calls) == len(dropped)
+        assert tarjan_calls == []
         assert list(func.search_functions(n_bits, depth, require_chaos=True)) == chaotic
         mask = (1 << n_bits) - 1
         assert {f.images for f in dropped} == {
@@ -260,54 +276,91 @@ class TestReachabilityShortcut:
         assert verdict.strongly_connected != cut
         assert verdict.scc_count == (2 if cut else 1)
 
+    @pytest.mark.parametrize("n_bits", range(2, 9))
+    def test_gray_cycle_removal_is_in_degree_regular_and_chaotic(self, n_bits, tarjan_calls):
+        f = gray_cycle_removal(n_bits)
+        g = graph.build_graph(f)
+        assert not func.is_balanced(f).balanced
+        assert (np.bincount(g.matrix.ravel(), minlength=g.n_vertices) == n_bits).all()
+        assert assert_verdict_matches_oracle(g).strongly_connected
+        assert tarjan_calls == []
+
+    def test_deep_non_regular_graph(self, tarjan_calls):
+        # the Gray path at N=16 with a loop for every label at 2^15: that
+        # vertex is a sink, entered from its path neighbour; Tarjan's depth-
+        # first search runs 2^16 - 1 vertices deep
+        f, _ = gray_path(16)
+        images = list(f.images)
+        images[1 << 15] = 1 << 15
+        g = graph.build_graph(func.VectorOfImages(16, tuple(images)))
+        verdict = graph.is_strongly_connected(g)
+        assert len(tarjan_calls) == 1
+        assert (verdict.scc_count, verdict.witness) == (2, (1 << 15, 0))
+        assert [len(c) for c in graph.strongly_connected_components(g)] == [(1 << 16) - 1, 1]
+
     @pytest.fixture
-    def scipy_calls(self, monkeypatch):
+    def tarjan_calls(self, monkeypatch):
         calls = []
-        labels = graph._component_labels
+        tarjan = graph._tarjan
 
         def counting(g):
             calls.append(g)
-            return labels(g)
+            return tarjan(g)
 
-        monkeypatch.setattr(graph, "_component_labels", counting)
+        monkeypatch.setattr(graph, "_tarjan", counting)
         return calls
 
-    def test_chaotic_functions_skip_scipy(self, scipy_calls):
+    def test_chaotic_functions_skip_tarjan(self, tarjan_calls):
         for n_bits in range(2, 9):
             assert graph.is_strongly_connected(graph.build_graph(func.negation(n_bits)))
         for images in KNOWN_CHAOTIC_VARIANTS:
             assert graph.is_strongly_connected(graph.build_graph(func.VectorOfImages(4, images)))
-        assert scipy_calls == []
+        assert tarjan_calls == []
 
     @pytest.mark.parametrize("n_bits", range(2, 9))
-    def test_deep_sweep_is_left_to_scipy(self, scipy_calls, n_bits):
-        # the Gray-code path takes 2^N - 1 levels; past 4N the sweep gives up
-        f, _ = gray_path(n_bits)
-        assert graph.is_strongly_connected(graph.build_graph(f))
-        assert (len(scipy_calls) >= 1) == ((1 << n_bits) - 1 > 4 * n_bits)
+    def test_gray_paths_skip_tarjan(self, tarjan_calls, n_bits):
+        # a path 2^N - 1 arcs long, but balanced: the union-find answers
+        for cut in (False, True):
+            f, _ = gray_path(n_bits, cut)
+            assert bool(graph.is_strongly_connected(graph.build_graph(f))) != cut
+        assert tarjan_calls == []
 
-    def test_identity_runs_scipy(self, scipy_calls):
-        assert not graph.is_strongly_connected(graph.build_graph(func.identity(3)))
-        assert len(scipy_calls) >= 1
+    def test_identity_skips_tarjan(self, tarjan_calls):
+        # N loops at every vertex: in-degree N, 8 singleton components
+        assert graph.is_strongly_connected(graph.build_graph(func.identity(3))).scc_count == 8
+        assert tarjan_calls == []
+
+    def test_constant_and_random_images_run_tarjan(self, tarjan_calls):
+        rnd = random.Random(24)
+        fs = [func.VectorOfImages(4, (5,) * 16), func.VectorOfImages(6, tuple(rnd.randrange(64) for _ in range(64)))]
+        for f in fs:
+            assert not graph.is_strongly_connected(graph.build_graph(f))
+        assert len(tarjan_calls) == len(fs)
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # scipy's strong components import scipy.sparse when first needed, so
-    # that `import ciprng` does not pay for it; a chaos search needs no
-    # graph, and the sweep settles chaotic balanced graphs without scipy
+def test_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # the package depends on numpy alone: neither importing it, nor a chaos
+    # search, nor verifying a balanced, a deep or a non-regular function,
+    # nor the `verify` command loads scipy
     src = str(Path(ciprng.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    chaotic = f"(ciprng.negation(4), ciprng.VectorOfImages(4, {KNOWN_CHAOTIC_VARIANTS[5]}))"
-    verify = f"assert all(ciprng.is_strongly_connected(ciprng.build_graph(f)) for f in {chaotic}); "
-    for work in ["", "list(ciprng.search_functions(2, 4, require_chaos=True)); ", verify]:
+    gray8 = gray_path(8)[0]
+    functions = [(4, KNOWN_CHAOTIC_VARIANTS[5]), (8, tuple(gray8.images)), (3, (7,) * 8)]
+    verify = (
+        "assert [bool(ciprng.is_strongly_connected(ciprng.build_graph(ciprng.VectorOfImages(*f))))"
+        f" for f in {functions}] == [True, True, False]; "
+    )
+    func.write_function(gray8, tmp_path / "gray8.fn")
+    cli = f"from ciprng import cli; assert cli.main(['verify', {str(tmp_path / 'gray8.fn')!r}]) == 0; "
+    for work in ["", "list(ciprng.search_functions(2, 4, require_chaos=True)); ", verify, cli]:
         proc = subprocess.run(
-            [sys.executable, "-c", f"import sys, ciprng; {work}print('scipy.sparse' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, ciprng; {work}print('scipy' in sys.modules)"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
             check=True,
         )
-        assert proc.stdout == "False\n", work
+        assert proc.stdout.splitlines()[-1] == "False", work
 
 
 class TestExportDot:
