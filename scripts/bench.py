@@ -17,11 +17,14 @@ of a layer is one of two kinds:
 The layers:
 
 * `draws`: `words`, `bits` and `coordinates` at N = 4, 12 and 16 of a fresh
-  Xorshift64, at 407, 4096, 101000 and 262144 draws;
+  Xorshift64, at 407, 4096, 101000 and 262144 draws; and `bits(4096)` with
+  the source's table caches cleared before each call, so that it times
+  their build;
 * `kernel`: `states()` of a fresh generator for 4096 bytes of output at
   k = 3N + 1, N = 4, 12 and 16, on the negation and on a variant made by 16
   seeded paired edits (4 at N=4); the N=16 function's set-up (negation,
-  the 16 edits, parsing its file text); `state_bits` of 2^21 N=4 states;
+  the 16 edits, parsing its file text); `state_bits` of 2^21 N=4 states,
+  and `pack_bits` and `bits_to_str` of its bits;
 * `battery`: each of the seven tests, `run_battery` and `read_stream` in
   both formats on one seeded 10^6-bit stream, and the command `ciprng test`
   on that stream's raw bytes;
@@ -72,6 +75,8 @@ KERNEL_SEED = 22
 VERIFY_SEED = 24
 WIDE_BYTES = 4096
 STATE_BITS = 1 << 21
+STATE_BITS_CALL = "state_bits(2^21, N=4)"
+TABLES_COLD = ", tables cold"
 CIPRNG = [sys.executable, "-m", "ciprng"]
 # run in each worker, with the tree under test first on PYTHONPATH
 WORKER = "import sys, bench; print(*bench.time_call(*sys.argv[1:]))"
@@ -89,9 +94,11 @@ ENTRIES = {
         name
         for count in (407, 4096, 101000, 262144)
         for name in (f"words({count})", f"bits({count})", *(f"coordinates({count}, {n})" for n in (4, 12, 16)))
-    ),
+    )
+    + (f"bits(4096){TABLES_COLD}",),
     "kernel": tuple(f"states(N={n}, {kind})" for n in (4, 12, 16) for kind in ("negation", "variant"))
-    + ("parse_function(N=16)", "negation(16)", "mutate_pair x16 (N=16)", "state_bits(2^21, N=4)"),
+    + ("parse_function(N=16)", "negation(16)", "mutate_pair x16 (N=16)", STATE_BITS_CALL)
+    + tuple(f"{pack}({STATE_BITS_CALL})" for pack in ("pack_bits", "bits_to_str")),
     "battery": (
         "frequency",
         "block-frequency",
@@ -119,11 +126,20 @@ METHOD = (
     "min.  A run without `rounds` was timed one tree at a time, in one process."
 )
 HEADERS = {
-    "draws": {"what": "Xorshift64 array draws, each call on a fresh Xorshift64(seed)." + METHOD, "seed": DRAWS_SEED, "repeats": REPEATS},
+    "draws": {
+        "what": (
+            "Xorshift64 array draws, each call on a fresh Xorshift64(seed).  An entry ending in "
+            f"{TABLES_COLD!r} first clears every functools cache of ciprng.sources, so that it also "
+            "times the build of the draws' lookup tables." + METHOD
+        ),
+        "seed": DRAWS_SEED,
+        "repeats": REPEATS,
+    },
     "kernel": {
         "what": (
             "The update kernel: `states(N=n, f)` is a fresh generator's states() for `wide_bytes` bytes of output at "
             "k = 3N + 1; the variant is the negation after 16 seeded paired edits (4 at N=4).  "
+            "`pack_bits` and `bits_to_str` take the bits that the `state_bits` entry gives.  "
             "Older runs record `peak_mib` of the state_bits call only." + METHOD
         ),
         "seed": KERNEL_SEED,
@@ -235,11 +251,24 @@ def seeded_bits():
 
 
 def draws_call(name: str, tmp: Path):
-    """The call of a `draws` entry: the Xorshift64 method and counts its name spells."""
-    from ciprng.sources import Xorshift64
+    """The call of a `draws` entry: the Xorshift64 method and counts its name spells.
 
-    method, args = name.rstrip(")").split("(")
-    return lambda: getattr(Xorshift64(DRAWS_SEED), method)(*map(int, args.split(", ")))
+    A cold entry first clears every functools cache the module has, whatever
+    their names, so that the call runs on any tree.
+    """
+    from ciprng import sources
+
+    spec = name.removesuffix(TABLES_COLD)
+    method, args = spec.rstrip(")").split("(")
+    counts = tuple(map(int, args.split(", ")))
+    caches = [f for f in vars(sources).values() if hasattr(f, "cache_clear")] if spec != name else []
+
+    def call():
+        for cache in caches:
+            cache.cache_clear()
+        return getattr(sources.Xorshift64(DRAWS_SEED), method)(*counts)
+
+    return call
 
 
 def edits(n_bits: int, count: int) -> list[tuple[int, int]]:
@@ -327,7 +356,11 @@ def kernel_call(name: str, tmp: Path):
         negation, pairs = func.negation(16), edits(16, 16)
         return lambda: functools.reduce(lambda f, edit: func.mutate_pair(f, *edit), pairs, negation)
     seeded = np.random.default_rng(KERNEL_SEED).integers(0, 16, STATE_BITS, dtype=np.int64)
-    return lambda: bitops.state_bits(seeded, 4)
+    if name == STATE_BITS_CALL:
+        return lambda: bitops.state_bits(seeded, 4)
+    bits = bitops.state_bits(seeded, 4)
+    pack = getattr(bitops, name.split("(")[0])
+    return lambda: pack(bits)
 
 
 def battery_call(name: str, tmp: Path):

@@ -14,7 +14,8 @@ step itself then moves all anchors on at once, one row of the block of
 64 words each lane holds at a time (see Xorshift64._lanes).  bits() and
 coordinates at N = 2, 4, 8 and 16 skip the words: a matrix product per
 bit plane gives only the low planes of the 64 words after each anchor
-(see Xorshift64._low_bits).
+(see Xorshift64._low_bits).  The anchor table and the plane matrices are
+built once, from one walk of the step (see _tables).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import ScriptExhaustedError
 _MASK64 = (1 << 64) - 1
 
 # Array draws gather at most _ANCHOR_CHUNK anchors from one word (see
-# Xorshift64._anchors), so _anchor_table holds the columns of
+# Xorshift64._anchors), so the anchor table of _tables holds the columns of
 # _ANCHOR_CHUNK + 1 matrices, about 0.5 MiB; a 2048-byte N=4 stream draws
 # about 865 coordinate anchors, one chunk.
 _ANCHOR_CHUNK = 1024
@@ -77,6 +78,7 @@ class Xorshift64(EntropySource):
     """
 
     def __init__(self, seed: int = DEFAULT_BIT_SEED):
+        seed = operator.index(seed)
         if not 0 < seed <= _MASK64:
             raise ValueError(f"seed must be a nonzero 64-bit value, got {seed}")
         self.state = seed
@@ -99,14 +101,16 @@ class Xorshift64(EntropySource):
 
     def words(self, count: int) -> np.ndarray:
         """The next `count` words as a uint64 array."""
+        count = _count(count)
         return self._lanes(count).T.reshape(-1)[:count]
 
     def bits(self, count: int) -> np.ndarray:
         """The next `count` bits as a uint8 array."""
-        return self._low_bits(count, 1)
+        return self._low_bits(_count(count), 1)
 
     def coordinates(self, count: int, n_bits: int) -> np.ndarray:
         """The next `count` coordinates in [1, n_bits] as an int64 array."""
+        count, n_bits = _count(count), operator.index(n_bits)
         if n_bits < 2:
             raise ValueError(f"n_bits must be >= 2, got {n_bits}")
         planes = n_bits.bit_length() - 1
@@ -127,13 +131,13 @@ class Xorshift64(EntropySource):
 
         Word 0 is stepped.  Anchor j of a chunk is M^(64 j) applied to
         its first anchor a, which is the XOR of M^(64 j) e_i over the set
-        bits i of a: one gather of _anchor_table's rows at a's bits and
-        one XOR reduction give a chunk of up to _ANCHOR_CHUNK anchors, and
-        entry _ANCHOR_CHUNK gives the next chunk's first.  The source is
-        left at the last anchor.
+        bits i of a: one gather of the anchor table's rows (see _tables)
+        at a's bits and one XOR reduction give a chunk of up to
+        _ANCHOR_CHUNK anchors, and entry _ANCHOR_CHUNK gives the next
+        chunk's first.  The source is left at the last anchor.
         """
         anchors = np.empty(-(-count // 64), dtype=np.uint64)
-        table = _anchor_table()
+        table = _tables()[0]
         units = np.uint64(1) << np.arange(64, dtype=np.uint64)
         first = self.next_word()
         for start in range(0, anchors.size, _ANCHOR_CHUNK):
@@ -167,15 +171,7 @@ class Xorshift64(EntropySource):
         anchors = self._anchors(count)
         block = np.empty((min(count, 64), anchors.size), dtype=np.uint64)
         block[0] = anchors
-        step = np.empty_like(anchors)
-        left, right, last = _SHIFTS
-        for prev, row in zip(block, block[1:]):
-            np.left_shift(prev, left, out=step)
-            np.bitwise_xor(prev, step, out=row)
-            np.right_shift(row, right, out=step)
-            np.bitwise_xor(row, step, out=row)
-            np.left_shift(row, last, out=step)
-            np.bitwise_xor(row, step, out=row)
+        _step_rows(block)
         self.state = int(block[(count - 1) % 64, -1])
         return block
 
@@ -193,7 +189,7 @@ class Xorshift64(EntropySource):
         anchors = self._anchors(count)
         for _ in range((count - 1) % 64):
             self.next_word()
-        tables = _plane_tables()
+        tables = _tables()[1]
         images = np.stack([_jump(tables[p], anchors) for p in range(planes)])
         bits = np.unpackbits(images.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")
         low = bits[0, :count]
@@ -202,72 +198,66 @@ class Xorshift64(EntropySource):
         return low
 
 
-def _walk(out: np.ndarray, stride: int) -> None:
-    """Fill out[1:] by jump-ahead, each entry stride steps past the one before.
+def _count(count: int) -> int:
+    """An array draw's count as an int; a negative count is a ValueError,
+    raised before any draw, so the source is left where it was."""
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return count
 
-    out[0] is given.  Each later block is the jump M^(d stride) of the
-    first d entries, d doubling from 1.  An entry may be a row of
-    independent words: each word of it moves alone.  Only the table
-    builds walk, over 64 or _ANCHOR_CHUNK + 1 entries.
+
+def _step_rows(block: np.ndarray) -> None:
+    """Fill block[1:] in place, each row the xorshift step of the row before.
+
+    block[0] is given; each word of a row moves alone.
     """
-    filled = 1
-    while filled < len(out):
-        take = min(filled, len(out) - filled)
-        out[filled : filled + take] = _jump(
-            _jump_tables((filled * stride).bit_length() - 1), out[:take]
-        )
-        filled += take
+    step = np.empty_like(block[0])
+    left, right, last = _SHIFTS
+    for prev, row in zip(block, block[1:]):
+        np.left_shift(prev, left, out=step)
+        np.bitwise_xor(prev, step, out=row)
+        np.right_shift(row, right, out=step)
+        np.bitwise_xor(row, step, out=row)
+        np.left_shift(row, last, out=step)
+        np.bitwise_xor(row, step, out=row)
 
 
 @functools.cache
-def _jump_tables(log_steps: int) -> np.ndarray:
-    """M^(2^log_steps) as 8 byte-sliced tables: row j maps byte j of a word.
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The anchor table and the plane tables, read-only, from one walk of the step.
 
-    Jumping a word is the XOR of its 8 bytes' rows (see _jump).  Each
-    matrix is the square of the one before, whose columns (the images of
-    the 64 unit words) sit at the rows' single-bit entries.
+    The anchor table is (64, _ANCHOR_CHUNK + 1) uint64: entry [i, j] is
+    M^(64 j) e_i, the unit word e_i = 2^i stepped 64 j times, so column j
+    holds the 64 columns of M^(64 j).  The plane tables are the matrices
+    of planes 0 to _MAX_PLANES - 1, byte-sliced as _byte_tables makes
+    them: plane p's matrix maps a word w to the word whose bit b is bit
+    p of M^b w, b in [0, 64).
+
+    The 64 unit words are stepped 64 times, so row b of the walk holds
+    M^b e_i: rows 0-63 give the plane tables, and rows 0 and 64 anchor
+    columns 0 and 1.  Once columns 0..d are known, the matrix of column d,
+    M^(64 d), carries columns 1..d to d+1..2d.
     """
-    if log_steps == 0:
-        columns = np.array([Xorshift64(1 << i).next_word() for i in range(64)], dtype=np.uint64)
-    else:
-        half = _jump_tables(log_steps - 1)
-        columns = _jump(half, half[:, 1 << np.arange(8)].ravel())
-    return _byte_tables(columns)
-
-
-@functools.cache
-def _anchor_table() -> np.ndarray:
-    """Read-only (64, _ANCHOR_CHUNK + 1) uint64 table: entry [i, j] is
-    M^(64 j) e_i, the unit word e_i = 2^i stepped 64 j times.
-
-    Column j thus holds the 64 columns of M^(64 j).  The rows are walked
-    together from the unit words, 64 steps an entry (see _walk).
-    """
-    walk = np.empty((_ANCHOR_CHUNK + 1, 64), dtype=np.uint64)
+    walk = np.empty((65, 64), dtype=np.uint64)
     walk[0] = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    _walk(walk, 64)
-    table = np.ascontiguousarray(walk.T)
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _plane_tables() -> np.ndarray:
-    """The plane matrices of planes 0 to _MAX_PLANES - 1, byte-sliced as in _jump_tables.
-
-    Plane p's matrix maps a word w to the word whose bit b is bit p of
-    M^b w, b in [0, 64).  Its columns come from one walk of the 64 unit
-    words: row b of the walk holds M^b of each.
-    """
-    walk = np.empty((64, 64), dtype=np.uint64)
-    walk[0] = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    _walk(walk, 1)
+    _step_rows(walk)
     planes = np.arange(_MAX_PLANES, dtype=np.uint64)[:, None, None]
     # bits[p, b, i] = bit p of M^b e_i; packing b gives column i of plane p
-    bits = ((walk >> planes) & np.uint64(1)).astype(np.uint8)
+    bits = ((walk[:64] >> planes) & np.uint64(1)).astype(np.uint8)
     packed = np.packbits(bits, axis=1, bitorder="little").transpose(0, 2, 1)
-    columns = np.ascontiguousarray(packed).view("<u8")[..., 0]
-    return _byte_tables(columns)
+    plane_tables = _byte_tables(np.ascontiguousarray(packed).view("<u8")[..., 0])
+
+    columns = np.empty((_ANCHOR_CHUNK + 1, 64), dtype=np.uint64)
+    columns[:2] = walk[::64]
+    d = 1
+    while d < _ANCHOR_CHUNK:
+        take = min(d, _ANCHOR_CHUNK - d)
+        columns[d + 1 : d + 1 + take] = _jump(_byte_tables(columns[d]), columns[1 : 1 + take])
+        d += take
+    anchor_table = np.ascontiguousarray(columns.T)
+    anchor_table.flags.writeable = False
+    return anchor_table, plane_tables
 
 
 def _byte_tables(columns: np.ndarray) -> np.ndarray:

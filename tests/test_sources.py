@@ -63,6 +63,20 @@ class TestXorshift64:
         with pytest.raises(ValueError):
             sources.Xorshift64(1 << 64)
 
+    @pytest.mark.parametrize("seed", [5.0, "5"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(TypeError):
+            sources.Xorshift64(seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.uint8(5)])
+    def test_numpy_seed_draws_python_ints(self, seed):
+        x, ref = sources.Xorshift64(seed), sources.Xorshift64(5)
+        assert type(x.state) is int
+        words = [x.next_word() for _ in range(5)] + [x.next_bit(), x.next_coordinate(12)]
+        assert words == [ref.next_word() for _ in range(5)] + [ref.next_bit(), ref.next_coordinate(12)]
+        assert all(type(w) is int for w in words)
+        assert x.state == ref.state
+
     def test_state_stays_nonzero_and_64_bit(self):
         x = sources.Xorshift64(0xFFFFFFFFFFFFFFFF)
         for _ in range(1000):
@@ -144,6 +158,30 @@ class TestXorshift64Arrays:
         with pytest.raises(ValueError):
             sources.Xorshift64(42).coordinates(5, 1)
 
+    @pytest.mark.parametrize("count", [-1, -64, -200])
+    @pytest.mark.parametrize("draw", ["words", "bits", "coordinates(4)", "coordinates(12)"])
+    def test_negative_count_is_refused_before_any_draw(self, draw, count):
+        x = sources.Xorshift64(5)
+        method, _, n_bits = draw.rstrip(")").partition("(")
+        args = (count, int(n_bits)) if n_bits else (count,)
+        with pytest.raises(ValueError, match=f"count must be >= 0, got {count}"):
+            getattr(x, method)(*args)
+        assert x.state == 5
+
+    def test_non_integer_count_or_width_is_refused(self):
+        x = sources.Xorshift64(5)
+        for call in (lambda: x.words(3.0), lambda: x.bits(3.0), lambda: x.coordinates(3.0, 4),
+                     lambda: x.coordinates(3, 4.0), lambda: x.coordinates(3, 12.0)):
+            with pytest.raises(TypeError):
+                call()
+        assert x.state == 5
+
+    def test_numpy_counts_and_widths_draw_as_ints(self):
+        bulk, ref = sources.Xorshift64(5), sources.Xorshift64(5)
+        assert np.array_equal(bulk.coordinates(np.int64(100), np.uint8(12)), ref.coordinates(100, 12))
+        assert np.array_equal(bulk.bits(np.uint16(70)), ref.bits(70))
+        assert bulk.state == ref.state
+
 
 def brute_byte_tables(columns):
     """Byte-sliced tables of the matrix with these 64 columns, by plain XORs."""
@@ -159,36 +197,29 @@ def brute_byte_tables(columns):
 class TestMatrixTables:
     """The cached byte-sliced matrices equal matrices made by single steps."""
 
-    @pytest.mark.parametrize("log_steps", [0, 1, 3, 6])
-    def test_jump_tables(self, log_steps):
-        columns = []
-        for i in range(64):
-            x = sources.Xorshift64(1 << i)
-            for _ in range(1 << log_steps):
-                x.next_word()
-            columns.append(x.state)
-        assert np.array_equal(sources._jump_tables(log_steps), brute_byte_tables(columns))
-
     def test_anchor_table(self):
-        table = sources._anchor_table()
+        table = sources._tables()[0]
         assert table.shape == (64, sources._ANCHOR_CHUNK + 1)
         assert not table.flags.writeable
-        # row i: the unit word 2^i every 64 steps, by single steps
+        # the columns on each side of every doubling seam up to 64 (the
+        # build fills columns d + 1..2d from column d), by single steps
+        seams = sorted({j for d in (1, 2, 4, 8, 16, 32, 64) for j in (d, d + 1)} | {0})
         for i in range(64):
             x = sources.Xorshift64(1 << i)
-            walk = [1 << i]
-            for _ in range(7):
+            walk = {0: 1 << i}
+            for j in range(1, seams[-1] + 1):
                 for _ in range(64):
                     x.next_word()
-                walk.append(x.state)
-            assert [int(w) for w in table[i, :8]] == walk, i
+                walk[j] = x.state
+            assert [int(table[i, j]) for j in seams] == [walk[j] for j in seams], i
         # the last entry, 2^16 steps on, from words()
         last = [int(sources.Xorshift64(1 << i).words(64 * sources._ANCHOR_CHUNK)[-1]) for i in range(64)]
         assert [int(w) for w in table[:, -1]] == last
 
     def test_plane_tables(self):
-        tables = sources._plane_tables()
+        tables = sources._tables()[1]
         assert tables.shape == (sources._MAX_PLANES, 8, 256)
+        assert not tables.flags.writeable
         # row b of the walk: M^b of each unit word, b = 0 being the word itself
         walk = []
         for i in range(64):
@@ -203,7 +234,7 @@ class TestMatrixTables:
 def test_anchor_gather_makes_no_walk(monkeypatch):
     # the anchors come from one gather per chunk, not from a jump-ahead walk
     # whose length grows with the count: only the plane products jump
-    sources._plane_tables(), sources._anchor_table()
+    sources._tables()
     calls = []
     jump = sources._jump
 
