@@ -13,18 +13,19 @@ generator is built:
 
 * "flips", when f is close to the negation, whose update at a digit
   flips it: a block's states are the seed XOR an exclusive prefix XOR
-  of its masks, gathered once, stepped past the few updates that f's
+  of its masks, made once, stepped past the few updates that f's
   defects hold; under the negation itself, which has none, no search
   for them runs;
-* "composed", for other f at narrow N: a walk through a table of
-  composed update groups, built from f's mapping matrix as
-  `func.mapping_matrix` gives it;
+* "composed", for other f at narrow N: a walk through a table of the
+  maps of every sequence of up to g updates, built from f's mapping
+  matrix as `func.mapping_matrix` gives it, a round's updates taking
+  ceil((k + 1) / g) steps;
 * "scalar", for other f at wide N: one update at a time.
 
 Closeness is the defect rate of _defects, the share of updates that
 depart from the negation; at most _FLIP_RATE takes "flips".  Defects are
-computed for each bulk generator from f.array, and group tables once per
-(f, k) value, a bounded cache keeping the last _GROUP_TABLES; these are
+computed for each bulk generator from f.array, and sequence tables once
+per (f, k) value, a bounded cache keeping the last _GROUP_TABLES; these are
 read-only, so generators over equal functions share them.  A
 bulk block holds at most _BLOCK_ROUNDS rounds and _BLOCK_UPDATES
 updates, so its arrays stay bounded at any k.  Other generators run
@@ -50,15 +51,18 @@ from .sources import EntropySource, Xorshift64
 # k=13 took 156-238 ms against 122-162 ms (2-core Xeon, min of 7 calls).
 _BLOCK_ROUNDS = 4096
 _BLOCK_UPDATES = 1 << 18
-# Entries allowed in one generator's table of composed update groups.
-# It sets the group length g, and the widest N that walks the table at
-# all: (N + 1) << N entries must fit, so N <= 10.  On a 2-core Xeon
-# (k = 3N + 1, min of 15 calls) 1 << 13 took N=4 states(65536) from 26-40
-# to 32-44 ms and N=10 to the slower scalar loop; 1 << 15 doubled N=2's
-# table build (states(64) 0.8 to 1.7 ms).  Wider f, unless near the
-# negation, run the scalar loop.
-_GROUP_ENTRIES = 1 << 14
-# Group tables kept by _group_table's cache.  The benchmark's stream
+# Entries allowed in one generator's table of update sequences.  It sets
+# the group length g, and the widest N that walks the table at all: the
+# identity and the one-update rows, (N + 1) << N entries, must fit, so
+# N <= 11.  On a 2-core Xeon (k = 3N + 1, states(4096) on warm tables,
+# min of 21 alternating calls) it gives N=4 g = 5, 3 steps a round: 1.16
+# ms against 1.47 ms for the 4 steps of g = 4 under 1 << 14.  N=8 gets
+# g = 2, 3.9 against 7.2 ms, and N=11 the walk, 10.6 ms against 19.1 ms
+# for the scalar loop.  1 << 17 would give N=4 g = 6, the same 3 steps
+# over a table 4 times as large (1.61 ms), built cold in 3.9 ms against
+# 0.76 ms.  Wider f, unless near the negation, run the scalar loop.
+_GROUP_ENTRIES = 1 << 15
+# Sequence tables kept by _group_table's cache.  The benchmark's stream
 # workload cycles 9 functions at one k, and acceptance test 07 uses 8.
 _GROUP_TABLES = 16
 # Largest defect rate (see _defects) whose generators take "flips".  Each
@@ -69,12 +73,12 @@ _GROUP_TABLES = 16
 # 12.6 against 20.7 ms; 1.04e-2: 18.8 against 18.1 ms).  1/1024 leaves a
 # margin of four over the nearer.
 _FLIP_RATE = 1 / 1024
-# Updates in the first window _flip_rounds checks after a held update, and
-# in the widest window.  A window's states, masks, defects and held test
-# are int32 temporaries of one entry per update, so the widest window
-# bounds each to 64 KiB; the block's one array of one entry per update
-# is the prefix XOR of its masks.
-_FLIP_WINDOW = 256
+# Updates in the widest window _flip_rounds checks.  A window's states,
+# masks, defects and held test are temporaries of one entry per update,
+# so it bounds each to 64 KiB; the block's one array of one entry per
+# update is the prefix XOR of its masks.  Windows start, and restart
+# after a held update, at the expected gap between held updates, 1 / rate
+# (see _defects), or at this bound if that is wider.
 _FLIP_WINDOW_MAX = 1 << 14
 # Held updates a "flips" block may meet, one per _HELD_SHARE updates and at
 # least 16, before it hands the rest of the block to the scalar loop.  The
@@ -128,8 +132,8 @@ class CiGenerator:
     `path` names the one path states() runs, fixed here.  Over bulk
     draws, when both sources are exactly Xorshift64 and one round fits a
     block, it is "flips" (prefix XORs of the masks, when f's defect rate
-    is at most _FLIP_RATE), else "composed" (a walk through the group
-    table, when its one-update rows fit in _GROUP_ENTRIES), else
+    is at most _FLIP_RATE), else "composed" (a walk through the sequence
+    table, when its identity and one-update rows fit in _GROUP_ENTRIES), else
     "scalar" (the scalar loop).  Other generators take "round" (round()
     one round at a time), and compute no defects.  It changes no output.
     """
@@ -150,6 +154,8 @@ class CiGenerator:
             return
         self._defects, rate = _defects(config.f)
         self._held = rate > 0  # whether any update can be held: not under the negation
+        # "flips" windows start at the expected gap between held updates
+        self._window = min(_FLIP_WINDOW_MAX, int(1 / rate)) if rate else _FLIP_WINDOW_MAX
         if rate <= _FLIP_RATE:
             self.path = "flips"
         elif (config.f.n_bits + 1) << config.f.n_bits <= _GROUP_ENTRIES:
@@ -221,69 +227,86 @@ class CiGenerator:
         out[:] = xs
 
     def _compose_rounds(self, updates: np.ndarray, coords: np.ndarray, out: np.ndarray) -> None:
-        """Walk the state through the group table, one group of updates a step.
+        """Walk the state through the sequence table, one group of updates a step.
 
-        A round's k or k + 1 coordinates are padded with the identity to
-        per = ceil((k + 1) / g) groups of g.  One gather turns every
-        group into its row of the table, so a step is one lookup, and
-        every per-th state is a round output.
+        A round's k + b updates fall into per = ceil((k + 1) / g) groups:
+        per - 1 full ones of g, since (per - 1) g <= k, and a last one of
+        the k + b - (per - 1) g left, 0 to g.  With V[i] the block's
+        digits i, i + 1, ..., i + g - 1 read as a base-N number, least
+        significant first (past the block's end, 0), a group starting at
+        digit i is row offsets[g] + V[i] when full and offsets[L] +
+        V[i] mod N^L when it holds L.  One gather turns every group into
+        its row, so a step is one lookup, and every per-th state is a
+        round output.
         """
         n = self.config.f.n_bits
-        table, g = self._groups
+        table, g, offsets = self._groups
         per = -(-(self.config.k + 1) // g)
-        # coordinate s in [1, N] is table row s - 1; row N is the identity
-        rows = np.full((updates.size, per * g), n)
-        rows[np.arange(per * g) < updates[:, None]] = coords - 1
-        groups = rows.reshape(-1, g) @ ((n + 1) ** np.arange(g))
+        # digit i is coordinate i's mapping-matrix row, s - 1; offsets'
+        # dtype holds every row number, and so every V and N^L
+        digits = np.zeros(coords.size + g, dtype=offsets.dtype)
+        np.subtract(coords, 1, out=digits[: coords.size])
+        rolling = digits[g - 1 :].copy()
+        for t in range(g - 2, -1, -1):
+            rolling *= n
+            rolling += digits[t : t + rolling.size]
+        del digits
+        ends = np.cumsum(updates)
+        # groups[j, r] is round r's group j, which starts at digit starts[j, r]
+        starts = (ends - updates) + g * np.arange(per)[:, None]
+        groups = rolling[starts]
+        del rolling, starts  # only the group numbers stay for the walk
+        groups[:-1] += offsets[g]
+        last = updates - (per - 1) * g  # updates in each round's last group
+        groups[-1] %= (n ** np.arange(g + 1, dtype=groups.dtype))[last]
+        groups[-1] += offsets[last]
         x = self.x
-        xs = []
-        for row in table[groups].tolist():
-            x = row[x]
-            xs.append(x)
+        xs = [x := row[x] for row in table[groups.T].ravel()]
         out[:] = xs[per - 1 :: per]
 
     def _flip_rounds(self, updates: np.ndarray, coords: np.ndarray, out: np.ndarray) -> None:
         """Flip the masks' digits as the negation does, stepping only at held updates.
 
         With no update held, the state before update j is x XOR before[j],
-        the XOR of the block's masks ahead of j, gathered once; mask j is
-        before[j] XOR before[j + 1].  An update is held when
-        d(state) & mask != 0 (see _defects): the state stays, so from
-        there on every state is the prefix's with that mask XORed in,
-        which c tracks.  A window of updates finds its first held one in
-        one gather of d; a window holding none makes the next twice as
-        long.  A generator with no defects (the negation) holds none, and
-        skips the search.  Past the block's budget of held updates, the
-        rest of the block, from the current round on, goes to the scalar
-        loop.
+        the XOR of the block's masks ahead of j; mask j is before[j] XOR
+        before[j + 1].  An update is held when d(state) & mask != 0 (see
+        _defects): the state stays, so from there on every state is the
+        prefix's with that mask XORed in, which c tracks.  A window of
+        updates finds its first held one in one gather of d.  Windows
+        start, and restart after a held update, at the expected gap
+        between held updates, and a window holding none makes the next
+        twice as long.  A generator with no defects (the negation) holds
+        none, and skips the search.  Past the block's budget of held
+        updates, the rest of the block, from the current round on, goes
+        to the scalar loop.
         """
         n = self.config.f.n_bits
         defects = self._defects
-        weights = np.array([0] + [1 << (n - s) for s in range(1, n + 1)], dtype=np.int32)
-        # one block-sized array: the masks are gathered into place (mode
-        # "clip" writes out unbuffered; every coordinate is in [1, N]) and
-        # turned into their prefix XOR in place
+        # one block-sized array: coordinate s is shifted into its mask
+        # 1 << (N - s) in place, and the masks into their prefix XOR
         before = np.empty(coords.size + 1, dtype=np.int32)
         before[0] = 0
-        np.take(weights, coords, out=before[1:], mode="clip")
-        np.bitwise_xor.accumulate(before[1:], out=before[1:])
+        prefix = before[1:]
+        np.subtract(n, coords, out=prefix, dtype=np.int32)
+        np.left_shift(1, prefix, out=prefix)
+        np.bitwise_xor.accumulate(prefix, out=prefix)
         ends = np.cumsum(updates)  # before[ends[r]] is the state after round r, held updates aside
         x0 = c = self.x  # the state before update j is before[j] ^ c
         held, cs = [], [c]  # the updates held, and c after each
         pos = 0 if self._held else coords.size
-        size = _FLIP_WINDOW
+        size = self._window
         budget = max(16, coords.size // _HELD_SHARE)
         while pos < coords.size and len(held) <= budget:
             stop = min(pos + size, coords.size)
             states = before[pos:stop] ^ c
             masks = before[pos + 1 : stop + 1] ^ before[pos:stop]
-            hit = np.flatnonzero(defects[states] & masks)
-            if hit.size:
-                i = int(hit[0])
+            hits = (defects[states] & masks).astype(bool)
+            i = int(hits.argmax())
+            if hits[i]:
                 held.append(pos + i)
                 c ^= int(masks[i])
                 cs.append(c)
-                pos, size = pos + i + 1, _FLIP_WINDOW
+                pos, size = pos + i + 1, self._window
             else:
                 pos, size = stop, min(2 * size, _FLIP_WINDOW_MAX)
         # a held update XORs its mask into c for every later state
@@ -333,13 +356,16 @@ def _defects(f: VectorOfImages) -> tuple[np.ndarray, float]:
 
 
 @functools.lru_cache(maxsize=_GROUP_TABLES)
-def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
-    """Maps of every sequence of g single-coordinate updates, g as large as fits.
+def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Maps of every sequence of 0 to g single-coordinate updates, g as large as fits.
 
-    Row c_1 + (N+1) c_2 + ... + (N+1)^(g-1) c_g maps each state through
-    the updates of row c_1 first, then c_2, ..., c_g.  The one-update
-    table is f's mapping matrix (`func.mapping_matrix`), whose row c
-    updates coordinate c + 1, with the identity below it as row N.
+    Level L holds the N^L sequences of L updates.  Sequence (c_1, ...,
+    c_L), coordinate c numbered from 0 and c_1 applied first, is row
+    offsets[L] + c_1 + N c_2 + ... + N^(L-1) c_L, offsets[L] being the
+    rows of the levels below.  Level 0 is the identity and level 1 f's
+    mapping matrix (`func.mapping_matrix`), whose row c updates
+    coordinate c + 1; level L + 1 applies a level-1 row before each row
+    of level L.  g is at most k + 1, the most updates a round makes.
 
     The rows sit as tuples in a 1-d read-only object array, so numpy
     gathers a block's rows in one call, and a cached table, shared by
@@ -349,11 +375,16 @@ def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int]:
     states(65536) took 57-60 ms that way, against 42-48 ms.
     """
     n = f.n_bits
-    single = np.vstack([mapping_matrix(f), np.arange(f.size)])
-    g, table = 1, single
-    while g <= k and (n + 1) ** (g + 1) * f.size <= _GROUP_ENTRIES:
-        table = single[:, table].reshape(-1, f.size)
-        g += 1
-    rows = np.fromiter(map(tuple, table.tolist()), dtype=object, count=len(table))
-    rows.flags.writeable = False
-    return rows, g
+    single = mapping_matrix(f)
+    levels = [np.arange(f.size, dtype=single.dtype)[None, :], single]
+    rows = 1 + n
+    while len(levels) <= k + 1 and (rows + n ** len(levels)) * f.size <= _GROUP_ENTRIES:
+        levels.append(levels[-1][:, single].reshape(-1, f.size))
+        rows += len(levels[-1])
+    g = len(levels) - 1
+    table = np.fromiter(map(tuple, np.concatenate(levels).tolist()), dtype=object, count=rows)
+    table.flags.writeable = False
+    # in the smallest dtype that holds every row number
+    offsets = ((n ** np.arange(g + 1) - 1) // (n - 1)).astype(np.min_scalar_type(rows))
+    offsets.flags.writeable = False
+    return table, g, offsets

@@ -649,6 +649,85 @@ class TestGroupTableCache:
         assert len(calls) == 1
 
 
+class TestSequenceTable:
+    """The composed walk's table of update sequences of 0 to g updates, and
+    the walk over it, at every layout of a round's groups."""
+
+    # (N, k, g): every group full but the last, which holds k + b - (per - 1) g
+    LAYOUTS = [
+        (4, 15, 5),  # per = 4: the last group holds b alone, empty when b = 0
+        (2, 7, 8),  # per = 1: one group a round, g = k + 1
+        (4, 1, 2),  # g = k + 1 at the smallest k
+        (4, 255, 5),  # per = 52, 1024 rounds a block
+        (3, 10, 7),
+        (5, 16, 4),
+        (8, 25, 2),
+        (10, 31, 1),
+        (11, 34, 1),
+    ]
+
+    @pytest.mark.parametrize("n_bits, k, g", LAYOUTS)
+    def test_walk_equals_round_loop_over_chunks_and_seams(self, n_bits, k, g):
+        f = dense(n_bits)
+        per = -(-(k + 1) // g)
+        assert generator._group_table(f, k)[1] == g and (per - 1) * g <= k
+        bulk, loop = TestFastPath.make_pair(f.images, n_bits, k=k, seed_state=(7 * k) % f.size)
+        one, _ = TestFastPath.make_pair(f.images, n_bits, k=k, seed_state=(7 * k) % f.size)
+        assert bulk.path == "composed"
+        block = min(generator._BLOCK_ROUNDS, generator._BLOCK_UPDATES // (k + 1))
+        # short calls, a call one round short of a block, and one a round past it
+        chunks = [1, 7, 64, block - 1, block + 1, 3]
+        if (n_bits, k) == (4, 15):
+            # rounds whose last group is empty (b = 0), and rounds whose last group holds b = 1
+            bits = Xorshift64(314159).bits(sum(chunks))  # make_pair's first source
+            assert 0 < bits.sum() < bits.size
+        combined = np.concatenate([bulk.states(c) for c in chunks])
+        assert list(combined) == [loop.round() for _ in range(sum(chunks))], (n_bits, k)
+        assert list(combined) == list(one.states(sum(chunks))), (n_bits, k)
+        TestFastPath.assert_same_end(bulk, loop)
+        TestFastPath.assert_same_end(one, loop)
+
+    def test_rows_are_compositions_of_mapping_matrix_rows(self):
+        f = dense(4)
+        table, g, offsets = generator._group_table(f, 13)
+        assert g == 5 and len(table) == 1365
+        assert offsets.tolist() == [0, 1, 5, 21, 85, 341]
+        matrix = func.mapping_matrix(f).tolist()
+        rnd = random.Random(26)
+        for length in range(g + 1):
+            for _ in range(25):
+                sequence = [rnd.randrange(4) for _ in range(length)]  # coordinates from 0, first applied first
+                row = int(offsets[length]) + sum(c * 4**i for i, c in enumerate(sequence))
+                images = list(range(f.size))
+                for c in sequence:
+                    images = [matrix[c][y] for y in images]
+                assert table[row] == tuple(images), sequence
+
+    def test_group_length_is_at_most_k_plus_one(self):
+        f = dense(3)
+        assert [generator._group_table(f, k)[1] for k in (1, 2, 5, 6, 7, 100)] == [2, 3, 6, 7, 7, 7]
+
+    def test_composed_block_peak_bounded_against_scalar_loop(self, monkeypatch):
+        # one full block at N=10, k=255: 1024 rounds, 2^18 updates.  The
+        # walk that padded every round to whole groups peaked at 10.22 MiB
+        # there, against 4.05 MiB for the scalar loop.
+        def peak(entries):
+            monkeypatch.setattr(generator, "_GROUP_ENTRIES", entries)
+            config = GeneratorConfig(dense(10), k=255, seed_state=0)
+            gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))
+            gen.states(1)  # the sources' cached tables
+            tracemalloc.start()
+            try:
+                gen.states(generator._BLOCK_UPDATES // 256)
+                return gen.path, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        walk, scalar = peak(generator._GROUP_ENTRIES), peak(0)
+        assert (walk[0], scalar[0]) == ("composed", "scalar")
+        assert walk[1] <= 10.22 / 4.05 * scalar[1]
+
+
 class TestFlipEngine:
     """Generators near the negation ("flips") equal the round loop and the
     definitional interpreter, wherever their updates are held."""
@@ -710,7 +789,7 @@ class TestFlipEngine:
         rnd = random.Random(3)
         updates = [k + rnd.randint(0, 1) for _ in range(20)]
         size = sum(updates)
-        window = generator._FLIP_WINDOW
+        window = 256  # the generator's restart window, pinned below
         p = {"first": 0, "window end": window - 1, "window start": window,
              "second window end": 3 * window - 1, "third window start": 3 * window, "last": size - 1}[where]
         coords = [n_bits - ((t + 1) & -(t + 1)).bit_length() + 1 for t in range(size)]
@@ -724,6 +803,7 @@ class TestFlipEngine:
         assert [t for t in range(size) if trace[t] == ([x0] + trace)[t]] == [p]
         gen = CiGenerator(GeneratorConfig(f, k=k, seed_state=x0), Xorshift64(1), Xorshift64(2))
         assert gen.path == "flips"
+        gen._window = window
         out = np.empty(len(updates), dtype=np.int64)
         gen._flip_rounds(np.array(updates), np.array(coords), out)
         assert list(out) == self.round_ends(f.images, n_bits, x0, updates, coords)
@@ -747,7 +827,7 @@ class TestFlipEngine:
         # next; W - 1, W and 2W the last of the first window, then the first
         # and the last of the next.  The defects sit on the states of the
         # last call's trajectory, so its block meets them there.
-        window = generator._FLIP_WINDOW
+        window = 256  # the generator's restart window, pinned below
         positions = {"first, then last": [0, window], "last, first, last": [window - 1, window, 2 * window]}[where]
         n_bits, k, x0 = 16, 49, 12345
         chunks = [1, 7, 64, 200]
@@ -761,6 +841,7 @@ class TestFlipEngine:
         assert [t - start for t in range(len(coords)) if trace[t + 1] == trace[t]] == positions
         bulk, loop = TestFastPath.make_pair(images, n_bits, k=k, seed_state=x0)
         assert bulk.path == "flips" and bulk._held
+        bulk._window = window
         combined = np.concatenate([bulk.states(c) for c in chunks])
         assert list(combined) == [loop.round() for _ in range(sum(chunks))]
         assert list(combined) == self.round_ends(images, n_bits, x0, updates, coords)
@@ -807,6 +888,15 @@ class TestFlipEngine:
         gen._flip_rounds(np.array(updates), np.array(coords), out)
         assert list(out) == self.round_ends(images, n_bits, x0, updates, coords)
 
+    def test_windows_start_at_the_expected_gap_between_held_updates(self):
+        def window(f):
+            return CiGenerator(GeneratorConfig(f, k=3 * f.n_bits + 1, seed_state=0), Xorshift64(1), Xorshift64(2))._window
+
+        # 16 paired edits keep 32 of the 12 * 4096 digits: one update in 1536 is held
+        assert window(paired_edits(12, 16)) == 1536
+        # one in 2^19, past the widest window, and none under the negation
+        assert window(paired_edits(16, 1)) == window(func.negation(12)) == generator._FLIP_WINDOW_MAX
+
     def test_rate_is_mean_popcount_of_defects(self):
         fs = [func.negation(5), func.identity(5), paired_edits(8, 1), paired_edits(12, 16), trap(6), dense(7)]
         fs += [func.VectorOfImages(4, v) for v in KNOWN_CHAOTIC_VARIANTS]
@@ -824,7 +914,7 @@ class TestFlipEngine:
         cases += [(paired_edits(4, 1), "composed"), (paired_edits(8, 1), "flips")]
         cases += [(paired_edits(8, 2), "composed")]
         cases += [(paired_edits(12, 16), "flips"), (paired_edits(16, 16), "flips"), (trap(16), "flips")]
-        cases += [(paired_edits(12, 64), "scalar"), (dense(11), "scalar"), (dense(16), "scalar")]
+        cases += [(paired_edits(12, 64), "scalar"), (dense(11), "composed"), (dense(16), "scalar")]
         for f, path in cases:
             config = GeneratorConfig(f, k=3 * f.n_bits + 1, seed_state=0)
             gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))

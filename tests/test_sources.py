@@ -93,6 +93,21 @@ class TestXorshift64:
         with pytest.raises(ValueError):
             sources.Xorshift64(42).next_coordinate(1)
 
+    @pytest.mark.parametrize("n_bits", [4.0, 2.5])
+    def test_coordinate_rejects_non_integer_width_before_drawing(self, n_bits):
+        # as the array draw coordinates(1, 4.0) does
+        x = sources.Xorshift64(5)
+        with pytest.raises(TypeError):
+            x.next_coordinate(n_bits)
+        assert x.state == 5
+
+    @pytest.mark.parametrize("n_bits", [np.int64(4), np.uint8(12)])
+    def test_numpy_width_draws_python_ints(self, n_bits):
+        x, ref = sources.Xorshift64(5), sources.Xorshift64(5)
+        got = [x.next_coordinate(n_bits) for _ in range(20)]
+        assert got == [ref.next_coordinate(int(n_bits)) for _ in range(20)]
+        assert all(type(c) is int for c in got)
+
     def test_coordinate_frequencies_near_uniform(self):
         # empirical run with a fixed seed: each of the two coordinates
         # should land within 49-51% over 10^5 draws
@@ -150,7 +165,7 @@ class TestXorshift64Arrays:
         bulk, single = sources.Xorshift64(0xFACADE), sources.Xorshift64(0xFACADE)
         for count in (1, 5, 63, 64, 65, 128, 129, 4097):
             coords = bulk.coordinates(count, n_bits)
-            assert coords.dtype == np.int64
+            assert coords.dtype == np.uint8
             assert coords.tolist() == [single.next_coordinate(n_bits) for _ in range(count)], count
             assert bulk.state == single.state, count
 
@@ -233,7 +248,7 @@ class TestMatrixTables:
 
 def test_anchor_gather_makes_no_walk(monkeypatch):
     # the anchors come from one gather per chunk, not from a jump-ahead walk
-    # whose length grows with the count: only the plane products jump
+    # whose length grows with the count: only the one pass over the planes jumps
     sources._tables()
     calls = []
     jump = sources._jump
@@ -248,7 +263,7 @@ def test_anchor_gather_makes_no_walk(monkeypatch):
         calls.clear()
         sources.Xorshift64(9).coordinates(count, 4)
         counts.append(len(calls))
-    assert counts == [2, 2]
+    assert counts == [1, 1]
 
 
 # widths read from bit planes, and widths read from whole words in lanes
@@ -282,7 +297,7 @@ class TestPlaneDraws:
         for n_bits in PLANE_WIDTHS + WORD_WIDTHS:
             x = sources.Xorshift64(0x5EED)
             coords = x.coordinates(count, n_bits)
-            assert coords.dtype == np.int64
+            assert coords.dtype == np.uint8
             assert np.array_equal(coords, from_words(words, n_bits)), n_bits
             assert x.state == ref.state, n_bits
 
@@ -342,6 +357,13 @@ class TestScriptedSource:
     def test_coordinate_out_of_range(self):
         with pytest.raises(ValueError):
             sources.ScriptedSource([5]).next_coordinate(4)
+
+    def test_coordinate_width_is_an_integer(self):
+        s = sources.ScriptedSource([3, 4])
+        with pytest.raises(TypeError):
+            s.next_coordinate(4.0)
+        assert s.cursor == 0
+        assert [s.next_coordinate(np.int64(4)), s.next_coordinate(np.uint8(4))] == [3, 4]
 
     @pytest.mark.parametrize("value", [1.7, "3"])
     def test_rejects_non_integer_value(self, value):
