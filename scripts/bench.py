@@ -26,8 +26,10 @@ The layers:
   the 16 edits, parsing its file text); `state_bits` of 2^21 N=4 states,
   and `pack_bits` and `bits_to_str` of its bits;
 * `battery`: each of the seven tests, `run_battery` and `read_stream` in
-  both formats on one seeded 10^6-bit stream, and the command `ciprng test`
-  on that stream's raw bytes;
+  both formats on one seeded 10^6-bit stream; `run_battery` on a seeded
+  stream of 1,000,003 bits, whose last packed word and window count's
+  wrap-around end mid-byte; and the command `ciprng test` on the 10^6-bit
+  stream's raw bytes;
 * `e2e`: the north star's end-to-end commands: `gen` of 1 MiB at N=4; `gen`
   of 10^6 bits then `test` on its file; `search` at N=4, depth 8, with
   chaos; and acceptance test 07, run by pytest in the tree's root, so that
@@ -69,6 +71,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 15
 ROUNDS = 5
 BITS = 1_000_000
+RAGGED_BITS = 1_000_003
+RAGGED_BATTERY = f"run_battery({RAGGED_BITS} bits)"
 BATTERY_SEED = 18
 DRAWS_SEED = 0x5EED
 KERNEL_SEED = 22
@@ -108,6 +112,7 @@ ENTRIES = {
         "serial",
         "approximate-entropy",
         "run_battery",
+        RAGGED_BATTERY,
         "read_stream:ascii-01",
         "read_stream:raw-bytes",
         "ciprng test",
@@ -148,7 +153,8 @@ HEADERS = {
     },
     "battery": {
         "what": (
-            "The battery on one seeded stream of `bits` bits; default BatteryConfig.  The command `ciprng test` is "
+            "The battery on one seeded stream of `bits` bits; default BatteryConfig.  The entry "
+            f"{RAGGED_BATTERY!r} runs the battery on a seeded stream of that length instead.  The command `ciprng test` is "
             "`python -m ciprng test --stream-format raw` on that stream's packed bytes; older runs "
             "list its rounds under `test_children`." + METHOD
         ),
@@ -244,10 +250,10 @@ def own_peak_kib() -> int:
     raise OSError("no VmHWM in /proc/self/status")
 
 
-def seeded_bits():
+def seeded_bits(count: int = BITS):
     import numpy as np
 
-    return np.random.default_rng(BATTERY_SEED).integers(0, 2, BITS, dtype=np.uint8)
+    return np.random.default_rng(BATTERY_SEED).integers(0, 2, count, dtype=np.uint8)
 
 
 def draws_call(name: str, tmp: Path):
@@ -367,6 +373,9 @@ def battery_call(name: str, tmp: Path):
     """The call of a `battery` entry; `read_stream` reads a file written in `tmp`."""
     from ciprng import stats
 
+    if name == RAGGED_BATTERY:
+        ragged = seeded_bits(RAGGED_BITS)
+        return lambda: stats.run_battery(ragged)
     bits = seeded_bits()
     if name.startswith("read_stream:"):
         fmt = name.split(":")[1]

@@ -51,8 +51,8 @@ from .sources import EntropySource, Xorshift64
 # k=13 took 156-238 ms against 122-162 ms (2-core Xeon, min of 7 calls).
 _BLOCK_ROUNDS = 4096
 _BLOCK_UPDATES = 1 << 18
-# Entries allowed in one generator's table of update sequences.  It sets
-# the group length g, and the widest N that walks the table at all: the
+# Entries allowed in one generator's table of update sequences.  It bounds
+# the group length g, and sets the widest N that walks the table at all: the
 # identity and the one-update rows, (N + 1) << N entries, must fit, so
 # N <= 11.  On a 2-core Xeon (k = 3N + 1, states(4096) on warm tables,
 # min of 21 alternating calls) it gives N=4 g = 5, 3 steps a round: 1.16
@@ -357,7 +357,7 @@ def _defects(f: VectorOfImages) -> tuple[np.ndarray, float]:
 
 @functools.lru_cache(maxsize=_GROUP_TABLES)
 def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Maps of every sequence of 0 to g single-coordinate updates, g as large as fits.
+    """Maps of every sequence of 0 to g single-coordinate updates.
 
     Level L holds the N^L sequences of L updates.  Sequence (c_1, ...,
     c_L), coordinate c numbered from 0 and c_1 applied first, is row
@@ -365,7 +365,13 @@ def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int, np.ndarray
     rows of the levels below.  Level 0 is the identity and level 1 f's
     mapping matrix (`func.mapping_matrix`), whose row c updates
     coordinate c + 1; level L + 1 applies a level-1 row before each row
-    of level L.  g is at most k + 1, the most updates a round makes.
+    of level L.
+
+    A round's k + b updates take per = ceil((k + 1) / g) steps.  The
+    largest g whose table fits _GROUP_ENTRIES, at most k + 1, sets per;
+    g is then the smallest that takes as few steps, ceil((k + 1) / per):
+    at N=3, k=10 both 6 and 7 take 2 steps, and the table of 6 has 1093
+    rows against 3280.
 
     The rows sit as tuples in a 1-d read-only object array, so numpy
     gathers a block's rows in one call, and a cached table, shared by
@@ -375,13 +381,17 @@ def _group_table(f: VectorOfImages, k: int) -> tuple[np.ndarray, int, np.ndarray
     states(65536) took 57-60 ms that way, against 42-48 ms.
     """
     n = f.n_bits
+    g, rows = 1, 1 + n
+    while g <= k and (rows + n ** (g + 1)) * f.size <= _GROUP_ENTRIES:
+        g += 1
+        rows += n**g
+    per = -(-(k + 1) // g)
+    g = -(-(k + 1) // per)
     single = mapping_matrix(f)
     levels = [np.arange(f.size, dtype=single.dtype)[None, :], single]
-    rows = 1 + n
-    while len(levels) <= k + 1 and (rows + n ** len(levels)) * f.size <= _GROUP_ENTRIES:
+    while len(levels) <= g:
         levels.append(levels[-1][:, single].reshape(-1, f.size))
-        rows += len(levels[-1])
-    g = len(levels) - 1
+    rows = sum(map(len, levels))
     table = np.fromiter(map(tuple, np.concatenate(levels).tolist()), dtype=object, count=rows)
     table.flags.writeable = False
     # in the smallest dtype that holds every row number

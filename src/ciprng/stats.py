@@ -18,40 +18,47 @@ own.  The cumulative-sums p-value sums normal-CDF differences over k;
 only the few k whose CDF arguments are not both beyond +-40 are summed,
 as every other term is exactly 0 in double (`_cusum_p`).
 
-`run_battery` shares the work of its two costliest steps:
+`run_battery` checks the stream once and packs it once, MSB first, into
+a zero-padded buffer of whole 64-bit words (`_Packed`); every count reads
+that buffer, or one of two arrays of its words made from it once:
 
+* frequency counts the ones by popcount, and runs counts the changes
+  between neighbouring bits as the popcount of each 64-bit word XOR the
+  word shifted left by one bit, topped up from the next word;
+* block frequency takes each block's ones as the difference of the ones
+  before its two ends: popcounts summed over whole words, plus those of a
+  word's leading bits, the same for any block size (`_block_ones`);
+* cumulative sums and longest run read one array of the buffer's 16-bit
+  words, through per-word tables: net step, highest and lowest prefix
+  for the partial-sum scan (`_cusum_excursions`); leading ones, trailing
+  ones and longest inner run for the longest run, whose blocks of 128 or
+  10^4 bits are a prefix of those words, and of the buffer's bytes for
+  blocks of 8 (`_run_tables`).  A block's longest run is its largest
+  inner run or its largest trailing-plus-leading sum over adjacent words,
+  exact once clipped to the top class, which is at most 16;
 * serial and approximate entropy both read counts of the overlapping
-  windows of the stream.  The battery counts once, at the wider of the
-  two widths the tests need, and merges those counts down to each
-  narrower width (`_marginal`); the counts are integers, so each test
-  sees the counts it would have made itself.
-* cumulative sums reads the largest partial-sum excursion forward and
-  backward.  The backward partial sums are the total minus the forward
-  ones, so a single forward scan gives both excursions.
+  windows of the circular stream.  The battery counts once, at the wider
+  of the two widths the tests need, and merges those counts down to each
+  narrower width (`_marginal`).  Windows of up to 13 bits come from one
+  histogram of the leading m + 3 bits of the 16-bit words that start at
+  every fourth bit, read from the buffer's bytes and the few bytes after
+  them that hold the stream's start again; pairwise adds of halves sum
+  them down to m bits.  Wider windows, which a 16-bit word cannot hold
+  four of, are counted by a shift-and-OR loop over one byte per bit
+  (`_pattern_counts`).
 
-The partial-sum scan reads the stream as packed 16-bit words rather
-than one byte per bit, adding up per-word tables of net step, highest
-and lowest prefix (`_cusum_excursions`).  The longest-run test reads
-its blocks as 16-bit words too (bytes for M = 8), through per-word
-tables of leading ones, trailing ones and longest inner run
-(`_run_tables`): a block's longest run is its largest inner run or its
-largest trailing-plus-leading sum over adjacent words, exact once
-clipped to the top class, which is at most 16.  Window counts of width
-m up to 13 come from one histogram of the leading m + 3 bits of the
-16-bit words that start at every fourth bit, 2^(m+3) bins, which hold
-the windows of the word's four leading bits; pairwise adds of halves
-sum them down to m bits.  Wider windows, which a 16-bit word cannot
-hold four of, are counted by a shift-and-OR loop over one byte per bit
-(`_pattern_counts`).  The tables are built on first use, and the ones
-counts come from `np.count_nonzero`.  Every count is an exact integer,
-the same as a bit-by-bit count, so no p-value moves.
+The backward partial sums of cumulative sums are the total minus the
+forward ones, so a single forward scan gives both excursions.  The tables
+are built on first use.  Every count is an exact integer, the same as a
+bit-by-bit count, so no p-value moves.
 
 An ASCII stream that is '0'/'1' digits followed by trailing whitespace
 only, as `export_stream` writes it, is read with one `np.frombuffer`;
 any other text has its whitespace deleted first (`_parse_ascii_bits`).
 
-The standalone tests call the same helpers, so a p-value from
-`run_battery` equals, bit for bit, the one its test gives alone.
+Each standalone test packs its own copy and calls the same kernels, so a
+p-value from `run_battery` equals, bit for bit, the one its test gives
+alone.
 """
 
 from __future__ import annotations
@@ -69,45 +76,134 @@ from .errors import StreamTooShortError
 
 
 # ---------------------------------------------------------------------------
+# the packed stream
+
+class _Packed:
+    """A checked bit stream, packed MSB first, once, into a zero-padded
+    buffer of whole 64-bit words with at least one zero bit after the
+    stream.  Every count reads this buffer, or one of the two arrays of its
+    words made from it on first use; `bits` is kept for the window counts
+    wider than 13 bits only.
+    """
+
+    def __init__(self, bits: np.ndarray):
+        self.bits = bits
+        self.n = n = bits.size
+        packed = np.packbits(bits)
+        self.buffer = np.zeros(8 * (n // 64 + 1), dtype=np.uint8)
+        self.buffer[: packed.size] = packed
+
+    @functools.cached_property
+    def words64(self) -> np.ndarray:
+        """The buffer's big-endian 64-bit words, in native order."""
+        return self.buffer.view(">u8").astype(np.uint64)
+
+    @functools.cached_property
+    def words16(self) -> np.ndarray:
+        """The buffer's big-endian 16-bit words, as table indices."""
+        return self.buffer.view(">u2").astype(np.intp)
+
+    @functools.cached_property
+    def ones(self) -> int:
+        return int(np.bitwise_count(self.buffer.view(np.uint64)).sum())
+
+
+def _check_length(n: int, test: str, minimum: int) -> None:
+    if n < minimum:
+        raise StreamTooShortError(test, minimum, n)
+
+
+def _require(bits, test: str, minimum: int) -> np.ndarray:
+    arr = bitops.as_bit_array(bits)
+    _check_length(arr.size, test, minimum)
+    return arr
+
+
+def _packed(bits, test: str, minimum: int) -> _Packed:
+    return _Packed(_require(bits, test, minimum))
+
+
+# ---------------------------------------------------------------------------
 # individual tests
 
 def frequency_monobit(bits) -> float:
     """Balance of ones vs zeros over the whole stream."""
-    arr = _require(bits, "frequency", 100)
-    s = abs(2 * int(np.count_nonzero(arr)) - arr.size)
-    return math.erfc(s / math.sqrt(arr.size) / math.sqrt(2.0))
+    return _frequency_p(_packed(bits, "frequency", 100))
+
+
+def _frequency_p(stream: _Packed) -> float:
+    s = abs(2 * stream.ones - stream.n)
+    return math.erfc(s / math.sqrt(stream.n) / math.sqrt(2.0))
 
 
 def block_frequency(bits, block_size: int = 128) -> float:
     """Balance of ones within fixed-size blocks."""
     arr = _require(bits, "block-frequency", 100)
+    _check_blocks(arr.size, block_size)
+    return _block_frequency_p(_Packed(arr), block_size)
+
+
+def _check_blocks(n: int, block_size: int) -> None:
     if block_size < 2:
         raise ValueError(f"block_size must be >= 2, got {block_size}")
-    n_blocks = arr.size // block_size
-    if n_blocks < 1:
-        raise StreamTooShortError("block-frequency", block_size, arr.size)
-    pi = _block_ones(arr, block_size) / block_size
+    if n // block_size < 1:
+        raise StreamTooShortError("block-frequency", block_size, n)
+
+
+def _block_frequency_p(stream: _Packed, block_size: int) -> float:
+    pi = _block_ones(stream, block_size) / block_size
     chi2 = 4.0 * block_size * float(((pi - 0.5) ** 2).sum())
-    return _igamc(n_blocks / 2.0, chi2 / 2.0)
+    return _igamc(pi.size / 2.0, chi2 / 2.0)
+
+
+def _block_ones(stream: _Packed, size: int) -> np.ndarray:
+    """Ones in each whole `size`-bit block.
+
+    The ones before bit p are the ones of the 64-bit words before word
+    p // 64, a cumulative sum of popcounts, plus those of the leading
+    p % 64 bits of that word; a block's ones are the difference of that
+    count at its two ends.  Any block size reads the same words.
+    """
+    words = stream.words64
+    before_word = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words), out=before_word[1:])
+    ends = np.arange(0, stream.n // size * size + 1, size, dtype=np.uint64)
+    at = ends >> 6
+    lead = ~(np.uint64(0xFFFF_FFFF_FFFF_FFFF) >> (ends & 63))  # the leading p % 64 bits
+    return np.diff(before_word[at] + np.bitwise_count(words[at] & lead))
 
 
 def runs(bits) -> float:
     """Total number of maximal constant runs vs the expectation."""
-    arr = _require(bits, "runs", 100)
-    n = arr.size
-    pi = int(np.count_nonzero(arr)) / n
+    return _runs_p(_packed(bits, "runs", 100))
+
+
+def _runs_p(stream: _Packed) -> float:
+    n = stream.n
+    pi = stream.ones / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return 0.0  # frequency precondition failed; the test is decisive
-    v = 1 + int(np.count_nonzero(np.diff(arr)))
+    v = 1 + _transitions(stream)
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return math.erfc(num / den)
 
 
-def _block_ones(arr: np.ndarray, size: int) -> np.ndarray:
-    """Ones in each whole `size`-bit block; int32 holds any count of a block."""
-    n_blocks = arr.size // size
-    return arr[: n_blocks * size].reshape(n_blocks, size).sum(axis=1, dtype=np.int32)
+def _transitions(stream: _Packed) -> int:
+    """Number of i < n - 1 with bit i unlike bit i + 1.
+
+    Each 64-bit word, shifted left one bit and topped up with the next
+    word's first bit, lines every bit up with the one after it, so the
+    popcount of its XOR with the word counts the word's changes.  The
+    padding is zeros, so past the stream only bit n - 1 against the zero
+    after it can count, and it is taken off.
+    """
+    words = stream.words64
+    shifted = words << 1
+    shifted[:-1] |= words[1:] >> 63
+    shifted ^= words
+    last = stream.n - 1
+    return int(np.bitwise_count(shifted).sum()) - (int(stream.buffer[last >> 3]) >> (7 - last % 8) & 1)
 
 
 # per-regime constants: (minimum n, block size M, degrees K, run-length
@@ -136,27 +232,30 @@ _LONGEST_RUN_REGIMES = (
 
 def longest_run_of_ones(bits) -> float:
     """Distribution of the longest run of ones per block."""
-    arr = _require(bits, "longest-run", 128)
-    n = arr.size
+    return _longest_run_p(_packed(bits, "longest-run", 128))
+
+
+def _longest_run_p(stream: _Packed) -> float:
+    n = stream.n
     regime = _LONGEST_RUN_REGIMES[0]
     for candidate in _LONGEST_RUN_REGIMES:
         if n >= candidate[0]:
             regime = candidate
     _, m, k, classes, pi = regime
     n_blocks = n // m
-    longest = _clipped_longest_runs(arr, m, classes[0], classes[-1])
+    longest = _clipped_longest_runs(stream, m, classes[0], classes[-1])
     counts = np.bincount(longest - classes[0], minlength=k + 1)
     expected = n_blocks * np.asarray(pi)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     return _igamc(k / 2.0, chi2 / 2.0)
 
 
-def _clipped_longest_runs(arr: np.ndarray, m: int, lo: int, hi: int) -> np.ndarray:
+def _clipped_longest_runs(stream: _Packed, m: int, lo: int, hi: int) -> np.ndarray:
     """Longest run of ones in each whole m-bit block, clipped to [lo, hi];
     m is a multiple of 8 and hi <= 16.
 
-    Each block is read as big-endian 16-bit words, or as bytes when m is
-    not a multiple of 16.  A run inside one word is that word's longest
+    Each block is read as the stream's 16-bit words, or as its bytes when
+    m is not a multiple of 16.  A run inside one word is that word's longest
     inner run; a run across one word boundary is the trailing ones of the
     word before it plus the leading ones of the word after it.  A run
     across two boundaries holds a whole word of ones, whose inner run of
@@ -167,8 +266,8 @@ def _clipped_longest_runs(arr: np.ndarray, m: int, lo: int, hi: int) -> np.ndarr
     """
     width = 16 if m % 16 == 0 else 8
     lead, trail, inner = _run_tables(width)
-    packed = np.packbits(arr[: arr.size // m * m])
-    words = packed.view(">u2").astype(np.uint16) if width == 16 else packed
+    source = stream.words16 if width == 16 else stream.buffer
+    words = source[: stream.n // m * m // width]
     after = lead.take(words)
     after[:: m // width] = 0
     longest = trail.take(words)
@@ -202,29 +301,33 @@ def _run_tables(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def cumulative_sums(bits) -> tuple[float, float]:
     """Maximal partial-sum excursion, scanned forward and backward."""
-    arr = _require(bits, "cumulative-sums", 100)
-    z_fwd, z_bwd = _cusum_excursions(arr)
-    return _cusum_p(arr.size, z_fwd), _cusum_p(arr.size, z_bwd)
+    return _cusum_ps(_packed(bits, "cumulative-sums", 100))
 
 
-def _cusum_excursions(arr: np.ndarray) -> tuple[int, int]:
+def _cusum_ps(stream: _Packed) -> tuple[float, float]:
+    z_fwd, z_bwd = _cusum_excursions(stream)
+    return _cusum_p(stream.n, z_fwd), _cusum_p(stream.n, z_bwd)
+
+
+def _cusum_excursions(stream: _Packed) -> tuple[int, int]:
     """Largest |partial sum| of the +-1 steps, read forward and backward.
 
     One scan gives the forward partial sums S_1..S_n.  Read backward,
     the partial sums are S_n - S_i for i = 0..n-1, with S_0 = 0, so their
     largest magnitude follows from the range of S_1..S_n widened to 0.
 
-    The scan runs over big-endian 16-bit words: the sum at the end of
-    each word is a cumulative sum of the words' net steps, and the
+    The scan runs over the stream's whole 16-bit words: the sum at the
+    end of each word is a cumulative sum of the words' net steps, and the
     word's highest and lowest partial sums sit a table entry away from
-    it.  The bits after the last whole word are summed one by one.
+    it.  The bits of the partial word after them are summed one by one.
     """
     net, up, down = _cusum_tables()
-    whole = arr.size - arr.size % 16
-    words = np.packbits(arr[:whole]).view(">u2").astype(np.intp)
+    n = stream.n
+    words = stream.words16[: n // 16]
     # |S_k| <= n, so int32 holds every partial sum of a stream under 2^31 bits
-    ends = np.cumsum(net[words], dtype=np.int32 if arr.size < 1 << 31 else np.int64)
-    tail = (int(ends[-1]) if ends.size else 0) + np.cumsum(2 * arr[whole:].astype(np.int64) - 1)
+    ends = np.cumsum(net[words], dtype=np.int32 if n < 1 << 31 else np.int64)
+    last = (int(stream.words16[n // 16]) >> np.arange(15, 15 - n % 16, -1)) & 1
+    tail = (int(ends[-1]) if ends.size else 0) + np.cumsum(2 * last - 1)
     hi = int(np.concatenate([ends + up[words], tail]).max())
     lo = int(np.concatenate([ends + down[words], tail]).min())
     total = int(tail[-1]) if tail.size else int(ends[-1])
@@ -286,14 +389,14 @@ def _c_div(a: int, b: int) -> int:
 
 def serial(bits, block: int = 10) -> tuple[float, float]:
     """Uniformity of overlapping block-bit patterns (two difference stats)."""
-    arr = _serial_input(bits, block)
-    return _serial_p(_pattern_counts(arr, block), arr.size)
+    stream = _packed(bits, "serial", _serial_minimum(block))
+    return _serial_p(_pattern_counts(stream, block), stream.n)
 
 
-def _serial_input(bits, block: int) -> np.ndarray:
+def _serial_minimum(block: int) -> int:
     if block < 2:
         raise ValueError(f"block must be >= 2, got {block}")
-    return _require(bits, "serial", 1 << (block + 3))
+    return 1 << (block + 3)
 
 
 def _serial_p(counts: np.ndarray, n: int) -> tuple[float, float]:
@@ -312,14 +415,14 @@ def _serial_p(counts: np.ndarray, n: int) -> tuple[float, float]:
 
 def approximate_entropy(bits, block: int = 10) -> float:
     """Entropy gap between block- and (block+1)-bit pattern frequencies."""
-    arr = _apen_input(bits, block)
-    return _apen_p(_pattern_counts(arr, block + 1), arr.size)
+    stream = _packed(bits, "approximate-entropy", _apen_minimum(block))
+    return _apen_p(_pattern_counts(stream, block + 1), stream.n)
 
 
-def _apen_input(bits, block: int) -> np.ndarray:
+def _apen_minimum(block: int) -> int:
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    return _require(bits, "approximate-entropy", 1 << (block + 6))
+    return 1 << (block + 6)
 
 
 def _apen_p(counts_up: np.ndarray, n: int) -> float:
@@ -332,7 +435,7 @@ def _apen_p(counts_up: np.ndarray, n: int) -> float:
     return _igamc(2.0 ** (block - 1), chi2 / 2.0)
 
 
-def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
+def _pattern_counts(stream: _Packed, m: int) -> np.ndarray:
     """Counts of the n overlapping m-bit windows of the circular stream.
 
     For m <= 13 the stream is read as the big-endian 16-bit words that
@@ -340,35 +443,49 @@ def _pattern_counts(arr: np.ndarray, m: int) -> np.ndarray:
     4j hold the windows starting at bits 4j..4j+3 whole, so one histogram
     of those (m + 3)-bit values, summed down to m bits at each of the four
     offsets, counts every window.  The windows after the last whole group
-    of four are read from the next word one by one.  Wider windows are
-    built in place by shifting in one bit at a time, in a uint16
+    of four are read from the next word one by one.  The words are made
+    from the packed buffer's whole bytes and the few bytes after them that
+    hold the stream's start again.  Wider windows are built in place from
+    one byte per bit by shifting in one bit at a time, in a uint16
     accumulator when m <= 16 and int64 beyond.
     """
-    n = arr.size
+    n = stream.n
     if m > 13:
-        ext = np.resize(arr, n + m - 1)  # np.resize repeats the stream, also when n < m - 1
+        ext = np.resize(stream.bits, n + m - 1)  # np.resize repeats the stream, also when n < m - 1
         vals = ext[:n].astype(np.uint16 if m <= 16 else np.int64)
         for t in range(1, m):
             vals <<= 1
             vals |= ext[t : t + n]
         return np.bincount(vals, minlength=1 << m)
     groups = n // 4
-    packed = np.packbits(np.resize(arr, 4 * groups + 16)).astype(np.uint16)
+    # the bytes holding bits 0 .. 4 groups + 23 of the circular stream: the
+    # stream's whole bytes, then bits from 8 (n // 8) on, read modulo n
+    head = n // 8
+    at = np.arange(8 * head, 4 * groups + 24) % n
+    packed = np.empty((4 * groups + 31) // 8, dtype=np.uint16)
+    packed[:head] = stream.buffer[:head]
+    packed[head:] = np.packbits(stream.buffer[at >> 3] >> (7 - (at & 7)) & 1)
     even = (packed[:-1] << 8) | packed[1:]  # the words at bits 8k
-    words = np.empty(groups + 1, dtype=np.uint16)
-    words[0::2] = even[: groups // 2 + 1]
     # the words at bits 8k + 4: the word at 8k shifted by a nibble, topped up from byte k + 2
-    words[1::2] = (even[: (groups + 1) // 2] << 4) | (packed[2 : (groups + 1) // 2 + 2] >> 4)
+    odd = (even[: groups // 2] << 4) | (packed[2 : groups // 2 + 2] >> 4)
+    # the order of the words does not matter to a histogram, so the two
+    # kinds are placed one after the other rather than interleaved
+    lead = np.empty(groups, dtype=np.uint16)  # the leading m + 3 bits of each word
+    np.right_shift(even[: (groups + 1) // 2], 13 - m, out=lead[: (groups + 1) // 2])
+    np.right_shift(odd, 13 - m, out=lead[(groups + 1) // 2 :])
     # after pass j, `counts` holds the (m + 3 - j)-bit windows at offsets
     # 0..j of the words' leading m + 3 bits: dropping a leading bit moves
     # those at 0..j-1 to 1..j, and `trailing` adds the one at offset 0
-    counts = trailing = np.bincount(words[:groups] >> (13 - m), minlength=1 << (m + 3))
+    counts = trailing = np.bincount(lead, minlength=1 << (m + 3))
     for _ in range(3):
         half = counts.size // 2
         trailing = _marginal(trailing)
         counts = counts[:half] + counts[half:] + trailing
+    # the word at bit 4 groups, which holds the n % 4 windows left
+    b = groups // 2
+    last = (int(packed[b]) << 16 | int(packed[b + 1]) << 8 | int(packed[b + 2])) >> (8 - 4 * (groups % 2))
     for offset in range(n % 4):
-        counts[(int(words[groups]) >> (16 - offset - m)) & ((1 << m) - 1)] += 1
+        counts[(last >> (16 - offset - m)) & ((1 << m) - 1)] += 1
     return counts
 
 
@@ -466,13 +583,6 @@ def _stirling_remainder(a: float) -> float:
     return series / a
 
 
-def _require(bits, test: str, minimum: int) -> np.ndarray:
-    arr = bitops.as_bit_array(bits)
-    if arr.size < minimum:
-        raise StreamTooShortError(test, minimum, arr.size)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # battery and report
 
@@ -551,38 +661,40 @@ def run_battery(bits, config: Optional[BatteryConfig] = None) -> TestReport:
     """Run all seven tests and report per-test p-values and verdicts."""
     cfg = config or BatteryConfig()
     arr = bitops.as_bit_array(bits)
+    n = arr.size
     alpha = cfg.significance
 
     def single(name: str, p: float) -> TestResult:
         return TestResult(name, p, p >= alpha)
 
     def grouped(name: str, parts: Sequence[tuple[str, float]]) -> TestResult:
-        subs = tuple(SubResult(n, p, p >= alpha) for n, p in parts)
+        subs = tuple(SubResult(sub, p, p >= alpha) for sub, p in parts)
         mean = float(np.mean([p for _, p in parts]))
         return TestResult(name, mean, mean >= alpha, subs)
 
-    # inputs are checked in the order cumulative sums, serial, the four
-    # tests below, approximate entropy: a stream or block refused by
-    # several tests raises the error of the first of them
-    fwd, bwd = cumulative_sums(arr)
-    _serial_input(arr, cfg.serial_block)
-    results = (
-        single("frequency", frequency_monobit(arr)),
-        single("block-frequency", block_frequency(arr, block_size=cfg.block_size)),
-        grouped("cumulative-sums", [("forward", fwd), ("backward", bwd)]),
-        single("runs", runs(arr)),
-        single("longest-run", longest_run_of_ones(arr)),
-    )
-    _apen_input(arr, cfg.apen_block)
+    # inputs are checked in the order cumulative sums, serial, block
+    # frequency, longest run, approximate entropy (frequency and runs need
+    # what cumulative sums needs): a stream or block refused by several
+    # tests raises the error of the first of them
+    _check_length(n, "cumulative-sums", 100)
+    _check_length(n, "serial", _serial_minimum(cfg.serial_block))
+    _check_blocks(n, cfg.block_size)
+    _check_length(n, "longest-run", 128)
+    _check_length(n, "approximate-entropy", _apen_minimum(cfg.apen_block))
+    stream = _Packed(arr)
     width = max(cfg.serial_block, cfg.apen_block + 1)
-    counts = _pattern_counts(arr, width)  # one count serves both window tests
-    p1, p2 = _serial_p(_marginal(counts, width - cfg.serial_block), arr.size)
-    apen = _apen_p(_marginal(counts, width - cfg.apen_block - 1), arr.size)
-    results += (
+    counts = _pattern_counts(stream, width)  # one count serves both window tests
+    p1, p2 = _serial_p(_marginal(counts, width - cfg.serial_block), n)
+    fwd, bwd = _cusum_ps(stream)
+    return TestReport(n, alpha, (
+        single("frequency", _frequency_p(stream)),
+        single("block-frequency", _block_frequency_p(stream, cfg.block_size)),
+        grouped("cumulative-sums", [("forward", fwd), ("backward", bwd)]),
+        single("runs", _runs_p(stream)),
+        single("longest-run", _longest_run_p(stream)),
         grouped("serial", [("delta1", p1), ("delta2", p2)]),
-        single("approximate-entropy", apen),
-    )
-    return TestReport(arr.size, alpha, results)
+        single("approximate-entropy", _apen_p(_marginal(counts, width - cfg.apen_block - 1), n)),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -655,11 +655,12 @@ class TestSequenceTable:
 
     # (N, k, g): every group full but the last, which holds k + b - (per - 1) g
     LAYOUTS = [
-        (4, 15, 5),  # per = 4: the last group holds b alone, empty when b = 0
+        (4, 15, 4),  # per = 4, the same as at g = 5, which fits
+        (8, 2, 2),  # per = 2: the last group holds b alone, empty when b = 0
         (2, 7, 8),  # per = 1: one group a round, g = k + 1
         (4, 1, 2),  # g = k + 1 at the smallest k
         (4, 255, 5),  # per = 52, 1024 rounds a block
-        (3, 10, 7),
+        (3, 10, 6),  # per = 2, the same as at g = 7, which fits
         (5, 16, 4),
         (8, 25, 2),
         (10, 31, 1),
@@ -677,7 +678,7 @@ class TestSequenceTable:
         block = min(generator._BLOCK_ROUNDS, generator._BLOCK_UPDATES // (k + 1))
         # short calls, a call one round short of a block, and one a round past it
         chunks = [1, 7, 64, block - 1, block + 1, 3]
-        if (n_bits, k) == (4, 15):
+        if (per - 1) * g == k:
             # rounds whose last group is empty (b = 0), and rounds whose last group holds b = 1
             bits = Xorshift64(314159).bits(sum(chunks))  # make_pair's first source
             assert 0 < bits.sum() < bits.size
@@ -705,7 +706,7 @@ class TestSequenceTable:
 
     def test_group_length_is_at_most_k_plus_one(self):
         f = dense(3)
-        assert [generator._group_table(f, k)[1] for k in (1, 2, 5, 6, 7, 100)] == [2, 3, 6, 7, 7, 7]
+        assert [generator._group_table(f, k)[1] for k in (1, 2, 5, 6, 7, 100)] == [2, 3, 6, 7, 4, 7]
 
     def test_composed_block_peak_bounded_against_scalar_loop(self, monkeypatch):
         # one full block at N=10, k=255: 1024 rounds, 2^18 updates.  The

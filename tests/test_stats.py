@@ -59,7 +59,7 @@ class TestPublishedExamples:
 
     def test_serial_ten_bits(self):
         arr = stats.bitops.as_bit_array("0011011101")
-        counts = stats._pattern_counts(arr, 3)
+        counts = stats._pattern_counts(stats._Packed(arr), 3)
         psi3 = stats._psi_sq(counts, 10)
         psi2 = stats._psi_sq(stats._marginal(counts), 10)
         psi1 = stats._psi_sq(stats._marginal(stats._marginal(counts)), 10)
@@ -71,7 +71,7 @@ class TestPublishedExamples:
 
     def test_approximate_entropy_ten_bits(self):
         arr = stats.bitops.as_bit_array("0100110101")
-        counts_up = stats._pattern_counts(arr, 4)
+        counts_up = stats._pattern_counts(stats._Packed(arr), 4)
         apen = stats._phi(stats._marginal(counts_up), 10) - stats._phi(counts_up, 10)
         chi2 = 2 * 10 * (math.log(2) - apen)
         p = stats._igamc(4, chi2 / 2)
@@ -79,7 +79,7 @@ class TestPublishedExamples:
 
     def test_cumulative_sums_ten_bits(self):
         arr = stats.bitops.as_bit_array("1011010111")
-        z, _ = stats._cusum_excursions(arr)
+        z, _ = stats._cusum_excursions(stats._Packed(arr))
         assert z == 4  # published example: the partial sums end 1, 2, 3, 4
         assert stats._cusum_p(arr.size, z) == pytest.approx(0.4116588, abs=1e-6)  # published example
 
@@ -163,9 +163,64 @@ class TestProperties:
         assert stats.run_battery(bits) == stats.run_battery(bits)
 
 
+def packed(bits) -> stats._Packed:
+    """A bit list or array, checked and packed as every test packs it."""
+    return stats._Packed(stats.bitops.as_bit_array(bits))
+
+
 # bit lists whose length is not a multiple of 8, so the packed helpers
 # meet a partial last byte and, mostly, a partial last 16-bit word
 ragged_streams = st.lists(st.integers(0, 1), min_size=1, max_size=700).filter(lambda b: len(b) % 8)
+
+
+def residue_streams(base: int, seed: int) -> list[np.ndarray]:
+    """A seeded stream of each length base + r, r = 0..63, so that the packed
+    buffer ends at every bit of its last 64-bit word; then all-zeros,
+    all-ones and both alternating streams at three of those lengths."""
+    rng = np.random.default_rng(seed)
+    streams = [rng.integers(0, 2, base + r, dtype=np.uint8) for r in range(64)]
+    for n in (base, base + 7, base + 63):
+        alternating = np.arange(n, dtype=np.uint8) % 2
+        streams += [np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8), alternating, 1 - alternating]
+    return streams
+
+
+# five whole 64-bit words and r bits; and, for blocks of 10^4 bits, two blocks and more
+SHORT_STREAMS = residue_streams(320, 64)
+LONG_STREAMS = residue_streams(20_000, 65)
+
+
+class TestPackedKernels:
+    """Every count read from the packed buffer equals the bit-by-bit one, at
+    every length mod 64."""
+
+    def test_ones_and_transitions(self):
+        for arr in SHORT_STREAMS + LONG_STREAMS:
+            stream = packed(arr)
+            assert stream.ones == int(arr.sum()), arr.size
+            assert stats._transitions(stream) == np.count_nonzero(np.diff(arr)), arr.size
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 100, 127, 128, 129, 10000])
+    def test_block_ones(self, size):
+        for arr in LONG_STREAMS if size == 10000 else SHORT_STREAMS:
+            assert stats._block_ones(packed(arr), size).tolist() == block_ones(arr.tolist(), size), arr.size
+
+    def test_cusum_excursions(self):
+        for arr in SHORT_STREAMS:
+            assert stats._cusum_excursions(packed(arr)) == cusum_excursions(arr.tolist()), arr.size
+
+    @pytest.mark.parametrize("regime", stats._LONGEST_RUN_REGIMES)
+    def test_clipped_longest_runs(self, regime):
+        _, m, _, classes, _ = regime
+        for arr in LONG_STREAMS if m == 10000 else SHORT_STREAMS:
+            want = [min(max(run, classes[0]), classes[-1]) for run in longest_runs(arr.tolist(), m)]
+            assert stats._clipped_longest_runs(packed(arr), m, classes[0], classes[-1]).tolist() == want, arr.size
+
+    # 13 is the widest window read from the packed words, 14 the narrowest shifted in bit by bit
+    @pytest.mark.parametrize("m", [1, 2, 3, 11, 13, 14])
+    def test_pattern_counts(self, m):
+        for arr in SHORT_STREAMS:
+            assert stats._pattern_counts(packed(arr), m).tolist() == window_counts(arr.tolist(), m), arr.size
 
 
 class TestSharedWork:
@@ -179,11 +234,11 @@ class TestSharedWork:
         streams += [rng.integers(0, 2, m + extra, dtype=np.uint8) for extra in range(4)]
         streams += [np.ones(m + 37, dtype=np.uint8), np.zeros(m + 37, dtype=np.uint8)]
         for arr in streams:
-            assert stats._pattern_counts(arr, m).tolist() == window_counts(arr.tolist(), m)
+            assert stats._pattern_counts(packed(arr), m).tolist() == window_counts(arr.tolist(), m)
 
     @given(ragged_streams, st.integers(1, 16))
     def test_pattern_counts_on_ragged_streams(self, bits, m):
-        assert stats._pattern_counts(np.array(bits, dtype=np.uint8), m).tolist() == window_counts(bits, m)
+        assert stats._pattern_counts(packed(bits), m).tolist() == window_counts(bits, m)
 
     @pytest.mark.parametrize(
         "bits",
@@ -206,35 +261,40 @@ class TestSharedWork:
     )
     def test_cusum_excursions_match_reversed_oracle(self, bits):
         arr = stats.bitops.as_bit_array(bits)
-        assert stats._cusum_excursions(arr) == cusum_excursions(arr.tolist())
+        assert stats._cusum_excursions(packed(arr)) == cusum_excursions(arr.tolist())
 
     @given(ragged_streams)
     def test_cusum_excursions_on_ragged_streams(self, bits):
-        assert stats._cusum_excursions(np.array(bits, dtype=np.uint8)) == cusum_excursions(bits)
+        assert stats._cusum_excursions(packed(bits)) == cusum_excursions(bits)
 
     @given(ragged_streams, st.sampled_from([10, 100, 128, 129]))
     @example([1] * 300, 129)  # whole blocks of ones: counts past int8
     @example([1] * 259, 128)
     def test_block_ones_match_oracle(self, bits, size):
-        assert stats._block_ones(np.array(bits, dtype=np.uint8), size).tolist() == block_ones(bits, size)
+        assert stats._block_ones(packed(bits), size).tolist() == block_ones(bits, size)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
     def test_cusum_excursions_on_random_streams(self, bits):
-        arr = np.array(bits, dtype=np.uint8)
-        assert stats._cusum_excursions(arr) == cusum_excursions(bits)
+        assert stats._cusum_excursions(packed(bits)) == cusum_excursions(bits)
 
+    # (2, 10) with the default block size is the configuration of the NIST golden test
     @pytest.mark.parametrize("serial_block,apen_block", [(10, 10), (2, 10), (12, 4), (4, 3)])
-    @pytest.mark.parametrize("n", [65536, 100003, 10**6])
+    @pytest.mark.parametrize("n", [65536, 100003, 10**6, 1_000_003])
     def test_battery_equals_standalone_tests(self, n, serial_block, apen_block):
         bits = np.random.default_rng(n + serial_block).integers(0, 2, n, dtype=np.uint8)
         cfg = stats.BatteryConfig(serial_block=serial_block, apen_block=apen_block)
         got = {r.name: [r.p_value, *(s.p_value for s in r.sub_results)] for r in stats.run_battery(bits, cfg).results}
-        p1, p2 = stats.serial(bits, serial_block)
-        fwd, bwd = stats.cumulative_sums(bits)
-        # exact equality: the battery shares work, not results of another formula
-        assert got["serial"][1:] == [p1, p2]
-        assert got["cumulative-sums"][1:] == [fwd, bwd]
-        assert got["approximate-entropy"] == [stats.approximate_entropy(bits, apen_block)]
+        # exact equality: the battery shares one packed copy and the counts
+        # made from it, not results of another formula
+        assert got == {
+            "frequency": [stats.frequency_monobit(bits)],
+            "block-frequency": [stats.block_frequency(bits, cfg.block_size)],
+            "cumulative-sums": [got["cumulative-sums"][0], *stats.cumulative_sums(bits)],
+            "runs": [stats.runs(bits)],
+            "longest-run": [stats.longest_run_of_ones(bits)],
+            "serial": [got["serial"][0], *stats.serial(bits, serial_block)],
+            "approximate-entropy": [stats.approximate_entropy(bits, apen_block)],
+        }
 
     @pytest.mark.parametrize(
         "n,config,error",
@@ -417,7 +477,7 @@ class TestLongestRunBlocks:
         _, m, _, classes, _ = regime
         lo, hi = classes[0], classes[-1]
         want = [min(max(run, lo), hi) for run in longest_runs(bits, m)]
-        assert stats._clipped_longest_runs(np.array(bits, dtype=np.uint8), m, lo, hi).tolist() == want
+        assert stats._clipped_longest_runs(packed(bits), m, lo, hi).tolist() == want
 
     @pytest.mark.parametrize("m,lo,hi", [(r[1], r[3][0], r[3][-1]) for r in stats._LONGEST_RUN_REGIMES])
     def test_clipped_runs_at_each_run_length(self, m, lo, hi):
@@ -427,7 +487,7 @@ class TestLongestRunBlocks:
         blocks = [[1] * length + [0] * (m - length) for length in lengths]
         blocks += [[0] * (m - length) + [1] * length for length in lengths]
         bits = [b for block in blocks for b in block]
-        got = stats._clipped_longest_runs(np.array(bits, dtype=np.uint8), m, lo, hi).tolist()
+        got = stats._clipped_longest_runs(packed(bits), m, lo, hi).tolist()
         assert got == [min(max(length, lo), hi) for length in lengths] * 2
 
     @pytest.mark.parametrize("width", [8, 16])
@@ -449,7 +509,7 @@ class TestLongestRunBlocks:
         blocks[:, : lo - 1] = blocks[:, m - lo + 1 :] = 1
         for row, (length, offset) in zip(blocks, cases):
             row[16 * 300 + offset : 16 * 300 + offset + length] = 1
-        got = stats._clipped_longest_runs(blocks.ravel(), m, lo, hi).tolist()
+        got = stats._clipped_longest_runs(packed(blocks.ravel()), m, lo, hi).tolist()
         assert got == [min(max(length, lo), hi) for length, _ in cases]
 
     @pytest.mark.parametrize("regime", stats._LONGEST_RUN_REGIMES)
@@ -458,7 +518,7 @@ class TestLongestRunBlocks:
         _, m, _, classes, _ = regime
         bits = (np.random.default_rng(90).random(100_000) < 0.9).astype(np.uint8)
         want = [min(max(run, classes[0]), classes[-1]) for run in longest_runs(bits.tolist(), m)]
-        assert stats._clipped_longest_runs(bits, m, classes[0], classes[-1]).tolist() == want
+        assert stats._clipped_longest_runs(packed(bits), m, classes[0], classes[-1]).tolist() == want
 
     @pytest.mark.parametrize("n", [128, 6271, 6272, 749_999, 750_000])
     @pytest.mark.parametrize("ones", [0.5, 0.8])
