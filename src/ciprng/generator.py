@@ -47,8 +47,13 @@ from .sources import EntropySource, Xorshift64
 
 # Rounds per bulk block, and updates per bulk block: together they bound
 # the working arrays of one states() call, whatever k is.  The round cap
-# also pays: with blocks bounded by updates alone, states(250_000) at N=4,
-# k=13 took 156-238 ms against 122-162 ms (2-core Xeon, min of 7 calls).
+# costs time at N=4, and at N=8 it pays for some f only.  With blocks bounded
+# by updates alone against capped ones (k = 3N + 1, 2-core Xeon, min of 9
+# alternating calls), N=4 states(250_000) took 53.6 against 59.6 ms under
+# the third published variant ("composed") and 19.9 against 23.6 ms under
+# the negation ("flips"); N=8 states(100_000) took 75.8 against 65.2 ms
+# under seeded random images and 51.6 against 54.2 ms under a seeded
+# random permutation (both "composed").
 _BLOCK_ROUNDS = 4096
 _BLOCK_UPDATES = 1 << 18
 # Entries allowed in one generator's table of update sequences.  It bounds

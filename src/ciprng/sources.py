@@ -111,10 +111,11 @@ class Xorshift64(EntropySource):
         return self._low_bits(_count(count), 1)
 
     def coordinates(self, count: int, n_bits: int) -> np.ndarray:
-        """The next `count` coordinates in [1, n_bits] as a uint8 array."""
+        """The next `count` coordinates in [1, n_bits] as a uint8 array, so
+        n_bits is at most 255; a wider one is refused before any draw."""
         count, n_bits = _count(count), operator.index(n_bits)
-        if n_bits < 2:
-            raise ValueError(f"n_bits must be >= 2, got {n_bits}")
+        if not 2 <= n_bits <= 255:
+            raise ValueError(f"n_bits must be in [2, 255] for a uint8 array, got {n_bits}")
         planes = n_bits.bit_length() - 1
         if n_bits == 1 << planes and planes <= _MAX_PLANES:
             return self._low_bits(count, planes) + np.uint8(1)

@@ -39,13 +39,12 @@ that buffer, or one of two arrays of its words made from it once:
 * serial and approximate entropy both read counts of the overlapping
   windows of the circular stream.  The battery counts once, at the wider
   of the two widths the tests need, and merges those counts down to each
-  narrower width (`_marginal`).  Windows of up to 13 bits come from one
-  histogram of the leading m + 3 bits of the 16-bit words that start at
-  every fourth bit, read from the buffer's bytes and the few bytes after
-  them that hold the stream's start again; pairwise adds of halves sum
-  them down to m bits.  Wider windows, which a 16-bit word cannot hold
-  four of, are counted by a shift-and-OR loop over one byte per bit
-  (`_pattern_counts`).
+  narrower width (`_marginal`).  Windows of every width m come from one
+  histogram of the leading m + 3 bits of the words that start at every
+  fourth bit, read from the buffer's bytes and the few bytes after them
+  that hold the stream's start again; pairwise adds of halves sum them
+  down to m bits.  The words are 16 bits wide up to m = 13, 32 up to
+  m = 29 and 64 beyond (`_pattern_counts`).
 
 The backward partial sums of cumulative sums are the total minus the
 forward ones, so a single forward scan gives both excursions.  The tables
@@ -65,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -82,12 +82,10 @@ class _Packed:
     """A checked bit stream, packed MSB first, once, into a zero-padded
     buffer of whole 64-bit words with at least one zero bit after the
     stream.  Every count reads this buffer, or one of the two arrays of its
-    words made from it on first use; `bits` is kept for the window counts
-    wider than 13 bits only.
+    words made from it on first use.
     """
 
     def __init__(self, bits: np.ndarray):
-        self.bits = bits
         self.n = n = bits.size
         packed = np.packbits(bits)
         self.buffer = np.zeros(8 * (n // 64 + 1), dtype=np.uint8)
@@ -138,6 +136,7 @@ def _frequency_p(stream: _Packed) -> float:
 
 def block_frequency(bits, block_size: int = 128) -> float:
     """Balance of ones within fixed-size blocks."""
+    block_size = operator.index(block_size)
     arr = _require(bits, "block-frequency", 100)
     _check_blocks(arr.size, block_size)
     return _block_frequency_p(_Packed(arr), block_size)
@@ -389,6 +388,7 @@ def _c_div(a: int, b: int) -> int:
 
 def serial(bits, block: int = 10) -> tuple[float, float]:
     """Uniformity of overlapping block-bit patterns (two difference stats)."""
+    block = operator.index(block)
     stream = _packed(bits, "serial", _serial_minimum(block))
     return _serial_p(_pattern_counts(stream, block), stream.n)
 
@@ -415,6 +415,7 @@ def _serial_p(counts: np.ndarray, n: int) -> tuple[float, float]:
 
 def approximate_entropy(bits, block: int = 10) -> float:
     """Entropy gap between block- and (block+1)-bit pattern frequencies."""
+    block = operator.index(block)
     stream = _packed(bits, "approximate-entropy", _apen_minimum(block))
     return _apen_p(_pattern_counts(stream, block + 1), stream.n)
 
@@ -438,41 +439,40 @@ def _apen_p(counts_up: np.ndarray, n: int) -> float:
 def _pattern_counts(stream: _Packed, m: int) -> np.ndarray:
     """Counts of the n overlapping m-bit windows of the circular stream.
 
-    For m <= 13 the stream is read as the big-endian 16-bit words that
-    start at bits 0, 4, 8, ...: the leading m + 3 bits of the word at bit
-    4j hold the windows starting at bits 4j..4j+3 whole, so one histogram
-    of those (m + 3)-bit values, summed down to m bits at each of the four
-    offsets, counts every window.  The windows after the last whole group
-    of four are read from the next word one by one.  The words are made
-    from the packed buffer's whole bytes and the few bytes after them that
-    hold the stream's start again.  Wider windows are built in place from
-    one byte per bit by shifting in one bit at a time, in a uint16
-    accumulator when m <= 16 and int64 beyond.
+    The stream is read as the big-endian words that start at bits 0, 4,
+    8, ..., each of the narrowest width w of 16, 32 and 64 bits that holds
+    m + 3 bits: the leading m + 3 bits of the word at bit 4j hold the
+    windows starting at bits 4j..4j+3 whole, so one histogram of those
+    (m + 3)-bit values, summed down to m bits at each of the four offsets,
+    counts every window.  The n % 4 windows after the last whole group of
+    four are read one by one from the next word.  The words are made from
+    the packed buffer's whole bytes and the few bytes after them that hold
+    the stream's start again.
     """
     n = stream.n
-    if m > 13:
-        ext = np.resize(stream.bits, n + m - 1)  # np.resize repeats the stream, also when n < m - 1
-        vals = ext[:n].astype(np.uint16 if m <= 16 else np.int64)
-        for t in range(1, m):
-            vals <<= 1
-            vals |= ext[t : t + n]
-        return np.bincount(vals, minlength=1 << m)
+    width = 16 if m <= 13 else 32 if m <= 29 else 64
+    size = width // 8  # bytes per word
     groups = n // 4
-    # the bytes holding bits 0 .. 4 groups + 23 of the circular stream: the
-    # stream's whole bytes, then bits from 8 (n // 8) on, read modulo n
+    n_even = (groups + 1) // 2  # how many groups start at a byte
+    # the bytes holding bits 0 .. 8 (n_even + size) - 1 of the circular
+    # stream: the stream's whole bytes, then bits from 8 (n // 8) on, read
+    # modulo n
     head = n // 8
-    at = np.arange(8 * head, 4 * groups + 24) % n
-    packed = np.empty((4 * groups + 31) // 8, dtype=np.uint16)
+    at = np.arange(8 * head, 8 * (n_even + size)) % n
+    packed = np.empty(n_even + size, dtype=f"u{size}")
     packed[:head] = stream.buffer[:head]
     packed[head:] = np.packbits(stream.buffer[at >> 3] >> (7 - (at & 7)) & 1)
-    even = (packed[:-1] << 8) | packed[1:]  # the words at bits 8k
-    # the words at bits 8k + 4: the word at 8k shifted by a nibble, topped up from byte k + 2
-    odd = (even[: groups // 2] << 4) | (packed[2 : groups // 2 + 2] >> 4)
+    even = packed[: n_even + 1]  # the words at bits 8k, shifted in a byte at a time
+    for i in range(1, size):
+        even = (even << 8) | packed[i : n_even + 1 + i]
+    # the words at bits 8k + 4: the word at 8k shifted by a nibble, topped up from byte k + size
+    odd = (even[:n_even] << 4) | (packed[size:] >> 4)
     # the order of the words does not matter to a histogram, so the two
     # kinds are placed one after the other rather than interleaved
-    lead = np.empty(groups, dtype=np.uint16)  # the leading m + 3 bits of each word
-    np.right_shift(even[: (groups + 1) // 2], 13 - m, out=lead[: (groups + 1) // 2])
-    np.right_shift(odd, 13 - m, out=lead[(groups + 1) // 2 :])
+    # the leading m + 3 bits of each word, as bincount's index type
+    lead = np.empty(groups, dtype=np.intp)
+    np.right_shift(even[:n_even], width - 3 - m, out=lead[:n_even])
+    np.right_shift(odd[: groups // 2], width - 3 - m, out=lead[n_even:])
     # after pass j, `counts` holds the (m + 3 - j)-bit windows at offsets
     # 0..j of the words' leading m + 3 bits: dropping a leading bit moves
     # those at 0..j-1 to 1..j, and `trailing` adds the one at offset 0
@@ -482,10 +482,9 @@ def _pattern_counts(stream: _Packed, m: int) -> np.ndarray:
         trailing = _marginal(trailing)
         counts = counts[:half] + counts[half:] + trailing
     # the word at bit 4 groups, which holds the n % 4 windows left
-    b = groups // 2
-    last = (int(packed[b]) << 16 | int(packed[b + 1]) << 8 | int(packed[b + 2])) >> (8 - 4 * (groups % 2))
+    last = int((odd if groups % 2 else even)[groups // 2])
     for offset in range(n % 4):
-        counts[(last >> (16 - offset - m)) & ((1 << m) - 1)] += 1
+        counts[(last >> (width - offset - m)) & ((1 << m) - 1)] += 1
     return counts
 
 
@@ -588,7 +587,8 @@ def _stirling_remainder(a: float) -> float:
 
 @dataclass(frozen=True)
 class BatteryConfig:
-    """Battery parameters; defaults suit 10^6-bit streams."""
+    """Battery parameters; defaults suit 10^6-bit streams.  The three sizes
+    are taken as ints (numpy integers too); any other type is a TypeError."""
 
     significance: float = 0.01
     block_size: int = 128
@@ -596,6 +596,8 @@ class BatteryConfig:
     apen_block: int = 10
 
     def __post_init__(self):
+        for name in ("block_size", "serial_block", "apen_block"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not 0.0 < self.significance < 1.0:
             raise ValueError(f"significance must be in (0, 1), got {self.significance}")
 

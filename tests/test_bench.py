@@ -1,6 +1,7 @@
 """The bench harness (`scripts/bench.py`): its entries against the committed
-BENCH files, merging a run into a BENCH file, the import guard, the exit
-rule for commands, and one call per call layer through a worker process."""
+BENCH files, README's command line for each layer, merging a run into a
+BENCH file, the import guard, the exit rule for commands, and one call per
+call layer through a worker process."""
 
 import importlib.util
 import json
@@ -22,6 +23,11 @@ def test_entries_are_those_of_the_latest_committed_run(layer):
     doc = json.loads((ROOT / f"BENCH_{layer}.json").read_text())
     latest = list(doc["runs"].values())[-1]
     assert list(latest["timings_ms"]) == list(bench.ENTRIES[layer])
+
+
+@pytest.mark.parametrize("layer", list(bench.ENTRIES))
+def test_readme_names_every_layer(layer):
+    assert f"--layer {layer} " in (ROOT / "README.md").read_text()
 
 
 def test_merge_keeps_earlier_runs_and_refuses_a_reused_label(tmp_path):

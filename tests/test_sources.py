@@ -158,9 +158,9 @@ class TestXorshift64Arrays:
         ]
         assert bulk.state == single.state
 
-    # widths whose coordinates come from whole words, at short calls,
-    # lane edges and a partial last lane
-    @pytest.mark.parametrize("n_bits", [3, 5, 6, 7, 9, 12, 15])
+    # widths whose coordinates come from whole words, up to the widest a
+    # uint8 holds, at short calls, lane edges and a partial last lane
+    @pytest.mark.parametrize("n_bits", [3, 5, 6, 7, 9, 12, 15, 255])
     def test_word_width_coordinates_equal_single_draws(self, n_bits):
         bulk, single = sources.Xorshift64(0xFACADE), sources.Xorshift64(0xFACADE)
         for count in (1, 5, 63, 64, 65, 128, 129, 4097):
@@ -172,6 +172,13 @@ class TestXorshift64Arrays:
     def test_coordinates_reject_narrow_width(self):
         with pytest.raises(ValueError):
             sources.Xorshift64(42).coordinates(5, 1)
+
+    @pytest.mark.parametrize("n_bits", [256, 300, 1 << 64])
+    def test_coordinates_refuse_widths_past_uint8_before_any_draw(self, n_bits):
+        x = sources.Xorshift64(5)
+        with pytest.raises(ValueError, match=f"got {n_bits}"):
+            x.coordinates(8, n_bits)
+        assert x.state == 5
 
     @pytest.mark.parametrize("count", [-1, -64, -200])
     @pytest.mark.parametrize("draw", ["words", "bits", "coordinates(4)", "coordinates(12)"])

@@ -216,8 +216,8 @@ class TestPackedKernels:
             want = [min(max(run, classes[0]), classes[-1]) for run in longest_runs(arr.tolist(), m)]
             assert stats._clipped_longest_runs(packed(arr), m, classes[0], classes[-1]).tolist() == want, arr.size
 
-    # 13 is the widest window read from the packed words, 14 the narrowest shifted in bit by bit
-    @pytest.mark.parametrize("m", [1, 2, 3, 11, 13, 14])
+    # 13 is the widest window read from 16-bit words, 14 the narrowest read from 32-bit words
+    @pytest.mark.parametrize("m", [1, 2, 3, 11, 13, 14, 16])
     def test_pattern_counts(self, m):
         for arr in SHORT_STREAMS:
             assert stats._pattern_counts(packed(arr), m).tolist() == window_counts(arr.tolist(), m), arr.size
@@ -226,8 +226,9 @@ class TestPackedKernels:
 class TestSharedWork:
     """The battery counts windows once and scans partial sums once."""
 
-    # m = 13 is the widest window the 16-bit histogram holds; wider ones shift bit by bit
-    @pytest.mark.parametrize("m", range(1, 17))
+    # m = 13 is the widest window a 16-bit word holds four of; wider ones
+    # are read from 32-bit words, up to m = 29 (2^32 histogram bins)
+    @pytest.mark.parametrize("m", range(1, 21))
     def test_pattern_counts_match_window_oracle(self, m):
         rng = np.random.default_rng(m)
         streams = [rng.integers(0, 2, rng.integers(m, 301), dtype=np.uint8) for _ in range(5)]
@@ -236,7 +237,7 @@ class TestSharedWork:
         for arr in streams:
             assert stats._pattern_counts(packed(arr), m).tolist() == window_counts(arr.tolist(), m)
 
-    @given(ragged_streams, st.integers(1, 16))
+    @given(ragged_streams, st.integers(1, 20))
     def test_pattern_counts_on_ragged_streams(self, bits, m):
         assert stats._pattern_counts(packed(bits), m).tolist() == window_counts(bits, m)
 
@@ -322,6 +323,26 @@ class TestSharedWork:
             assert str(exc.value) == name
         else:
             assert (exc.value.test, exc.value.minimum, exc.value.actual) == (name, minimum, n)
+
+    @pytest.mark.parametrize("field", ["block_size", "serial_block", "apen_block"])
+    @pytest.mark.parametrize("size", [127.5, 10.0, "10"])
+    def test_non_integer_sizes_are_refused(self, field, size):
+        bits = np.random.default_rng(5).integers(0, 2, 100_000, dtype=np.uint8)
+        test = {"block_size": stats.block_frequency, "serial_block": stats.serial,
+                "apen_block": stats.approximate_entropy}[field]
+        for call in (lambda: stats.BatteryConfig(**{field: size}), lambda: test(bits, size)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call()
+
+    def test_numpy_integer_sizes_are_ints(self):
+        bits = np.random.default_rng(5).integers(0, 2, 100_000, dtype=np.uint8)
+        cfg = stats.BatteryConfig(block_size=np.int64(100), serial_block=np.uint8(4), apen_block=np.int32(3))
+        assert (cfg.block_size, cfg.serial_block, cfg.apen_block) == (100, 4, 3)
+        assert all(type(size) is int for size in (cfg.block_size, cfg.serial_block, cfg.apen_block))
+        assert stats.run_battery(bits, cfg) == stats.run_battery(bits, stats.BatteryConfig(block_size=100, serial_block=4, apen_block=3))
+        assert stats.block_frequency(bits, np.int64(100)) == stats.block_frequency(bits, 100)
+        assert stats.serial(bits, np.uint8(4)) == stats.serial(bits, 4)
+        assert stats.approximate_entropy(bits, np.int32(3)) == stats.approximate_entropy(bits, 3)
 
 
 class TestSpecialFunctionAccuracy:
