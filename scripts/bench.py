@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time one layer of ciprng on a parent tree and this checkout, alternating the two.
 
-    python scripts/bench.py --layer draws|kernel|battery|e2e|verify --parent ../parent/src --parent-label 83e2b51 --label change
+    python scripts/bench.py --layer draws|kernel|battery|e2e|verify|search --parent ../parent/src --parent-label 83e2b51 --label change
 
 `--parent` is the `src` of the tree to compare against (the directory above
 it is that tree's root); the other tree is this checkout's `src`.  An entry
@@ -39,7 +39,9 @@ The layers:
   path at N=16 (balanced, 2^N - 1 reachability levels deep) and seeded
   random images at N=12 and 16 (not balanced), and the command
   `ciprng verify --porcelain` on that Gray path and on the N=12 random
-  images.
+  images;
+* `search`: the paired-edit search `search_functions` at N=4, depth 8, with
+  and without `require_chaos`, and at N=5, depth 3, each counted to its end.
 
 Every entry runs in a fresh child process per tree in each of `ROUNDS`
 rounds, the two trees alternating entry by entry and round by round, so
@@ -93,6 +95,12 @@ SEARCH = "search --n-bits 4 --max-mutations 8 --require-chaos"
 ACCEPTANCE_07 = "acceptance 07"
 VERIFY_CALLS = ("negation(12)", "variant(12)", "gray_path(16)", "random(12)", "random(16)")
 VERIFY_FILES = ("gray_path(16)", "random(12)")
+# entry -> (n_bits, max_mutations, require_chaos)
+SEARCH_ARGS = {
+    "search_functions(4, 8)": (4, 8, False),
+    "search_functions(4, 8, require_chaos=True)": (4, 8, True),
+    "search_functions(5, 3)": (5, 3, False),
+}
 ENTRIES = {
     "draws": tuple(
         name
@@ -120,6 +128,7 @@ ENTRIES = {
     "e2e": (GEN, GEN_TEST, SEARCH, ACCEPTANCE_07),
     "verify": tuple(f"is_strongly_connected({f})" for f in VERIFY_CALLS)
     + tuple(f"ciprng verify --porcelain {f}" for f in VERIFY_FILES),
+    "search": tuple(SEARCH_ARGS),
 }
 METHOD = (
     "  A call entry is the min of `repeats` calls (ms) after one warm-up call, and its `peak_mib` "
@@ -178,6 +187,14 @@ HEADERS = {
             "random.Random(seed + n) images." + METHOD
         ),
         "seed": VERIFY_SEED,
+        "repeats": REPEATS,
+    },
+    "search": {
+        "what": (
+            "The paired-edit search: each call runs `func.search_functions(n_bits, max_mutations, "
+            "require_chaos=...)` to its end and counts the functions it yields (41,025 and 41,021 at "
+            "N=4, depth 8; 62,041 at N=5, depth 3)." + METHOD
+        ),
         "repeats": REPEATS,
     },
 }
@@ -334,6 +351,14 @@ def verify_call(name: str, tmp: Path):
     return lambda: graph.is_strongly_connected(g)
 
 
+def search_call(name: str, tmp: Path):
+    """The call of a `search` entry: the search its name spells, counted to its end."""
+    from ciprng import func
+
+    n_bits, depth, chaos = SEARCH_ARGS[name]
+    return lambda: sum(1 for _ in func.search_functions(n_bits, depth, require_chaos=chaos))
+
+
 def kernel_call(name: str, tmp: Path):
     """The call of a `kernel` entry."""
     import numpy as np
@@ -397,7 +422,13 @@ def battery_call(name: str, tmp: Path):
 def time_call(layer: str, name: str) -> tuple[float, float]:
     """The best ms of a call entry, and the tracemalloc peak (MiB) of one more call."""
     with tempfile.TemporaryDirectory() as tmp:
-        calls = {"draws": draws_call, "kernel": kernel_call, "battery": battery_call, "verify": verify_call}
+        calls = {
+            "draws": draws_call,
+            "kernel": kernel_call,
+            "battery": battery_call,
+            "verify": verify_call,
+            "search": search_call,
+        }
         call = calls[layer](name, Path(tmp))
         call()  # first use builds any lookup table
         best = float("inf")

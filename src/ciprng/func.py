@@ -58,7 +58,8 @@ class VectorOfImages:
 
     `images` may be given as any sequence of integers, numpy arrays
     included; it is kept as a tuple of Python ints.  A non-integer image
-    is a TypeError.
+    is a TypeError.  `n_bits` is checked as `negation` checks it: below 2
+    is a ValueError, above MAX_TABLE_BITS a ResourceLimitError.
 
     The images are held in two forms, each built from the other on
     first read and then kept:
@@ -77,8 +78,7 @@ class VectorOfImages:
     n_bits: int
 
     def __init__(self, n_bits: int, images):
-        if n_bits < 2:
-            raise ValueError(f"n_bits must be >= 2, got {n_bits}")
+        n_bits = _check_width(n_bits)
         images = tuple(map(operator.index, images))
         size = 1 << n_bits
         if len(images) != size:
@@ -157,24 +157,27 @@ class BalanceVerdict:
 
 def negation(n_bits: int) -> VectorOfImages:
     """The map complementing every coordinate: images[q] = 2^N - 1 - q."""
-    _check_width(n_bits)
+    n_bits = _check_width(n_bits)
     # mask ^ q = mask - q for q in [0, mask]
     return _unchecked(n_bits, np.arange((1 << n_bits) - 1, -1, -1, dtype=np.int32))
 
 
 def identity(n_bits: int) -> VectorOfImages:
     """The map leaving every state fixed: images[q] = q."""
-    _check_width(n_bits)
+    n_bits = _check_width(n_bits)
     return _unchecked(n_bits, np.arange(1 << n_bits, dtype=np.int32))
 
 
-def _check_width(n_bits: int) -> None:
+def _check_width(n_bits: int) -> int:
+    """n_bits as an int, once it is a width that 2^N-entry tables allow."""
+    n_bits = operator.index(n_bits)
     if n_bits < 2:
         raise ValueError(f"n_bits must be >= 2, got {n_bits}")
     if n_bits > MAX_TABLE_BITS:
         raise ResourceLimitError(
             f"n_bits={n_bits} exceeds the exhaustive-table limit of {MAX_TABLE_BITS}"
         )
+    return n_bits
 
 
 @functools.cache
@@ -234,23 +237,35 @@ def balance_rule_check(f: VectorOfImages) -> BalanceVerdict:
     must hold 2^N - j.  Entries further than one bit from the negation's
     are outside the rule's scope and are rejected.
 
-    With d = f(q) XOR (2^N - 1 - q), entry q breaks the rule when d has
-    more than one bit, or when its partner q XOR d does not hold q's
-    negated image (an unedited entry is its own partner).  The witness
-    is the first such q, with the row updated by the lowest bit of d.
+    With d = `defects(f)`, entry q breaks the rule when d(q) has more
+    than one bit, or when its partner q XOR d(q) does not hold q's
+    negated image, that is when d differs between q and its partner (an
+    unedited entry is its own partner).  The witness is the first such
+    q, with the row updated by the lowest bit of d(q).
 
     Acceptance implies balance; `is_balanced` remains the definitional
     oracle for arbitrary functions.
     """
     states, _ = _axes(f.n_bits)
-    negated = states ^ f.mask  # the negation's images
-    diff = f.array ^ negated
-    broken = np.flatnonzero((diff & (diff - 1)) | (f.array[states ^ diff] ^ negated))
+    d = defects(f)
+    broken = np.flatnonzero((d & (d - 1)) | (d[states ^ d] ^ d))
     if not broken.size:
         return BalanceVerdict(True)
     q = int(broken[0])
-    d = int(diff[q])
-    return BalanceVerdict(False, (_row_of_weight(f.n_bits, d & -d), q))
+    dq = int(d[q])
+    return BalanceVerdict(False, (_row_of_weight(f.n_bits, dq & -dq), q))
+
+
+def defects(f: VectorOfImages) -> np.ndarray:
+    """f's departures from the negation, d(x) = f(x) XOR (2^N - 1 - x).
+
+    A fresh read-only int32 array.  d(x) holds the digits that an
+    update at x keeps instead of flipping, and is 0 everywhere for the
+    negation; a paired edit across (q, q XOR w) sets w at both ends.
+    """
+    d = f.array ^ np.arange(f.mask, -1, -1, dtype=np.int32)
+    d.flags.writeable = False
+    return d
 
 
 def _row_of_weight(n_bits: int, w: int) -> int:
@@ -324,30 +339,39 @@ def search_functions(
     produced and the output sequence is deterministic.  Enumeration stops
     at the first size that has no matching.
 
-    No candidate is checked.  Each is balanced by construction, as the
+    A vertex q is free exactly when images[q] is still the negation's
+    2^N - 1 - q, so the list of images is the one record of a matching.
+
+    No candidate is checked for balance or chaos; the constructor only
+    range-checks its images.  Each is balanced by construction, as the
     negation swapped across a matching (`balance_rule_check` accepts it).
     Its iteration graph is Q_N minus the matching, plus loops; by the
     edge-isoperimetric inequality on Q_N it is disconnected exactly when
-    the matching holds all 2^(N-1) edges of one direction b.  Those cover
-    every vertex, so f(q) = NOT q XOR 2^b, whose coordinate b never
-    changes: `require_chaos` drops exactly these N functions.
+    the matching holds all 2^(N-1) edges of one direction b.  Such a
+    matching is perfect and gives f(q) = NOT q XOR 2^b, whose coordinate
+    b never changes: `require_chaos` drops exactly the N perfect
+    matchings whose f(q) XOR q is one constant.
 
-    Raises ResourceLimitError, after the functions already emitted, on
-    reaching a candidate beyond the first `max_candidates`; raises
-    ValueError when `max_candidates` < 1.
+    `max_mutations` and `max_candidates` must be integers (a float is a
+    TypeError).  Raises ResourceLimitError, after the functions already
+    emitted, on reaching a candidate beyond the first `max_candidates`;
+    raises ValueError when `max_candidates` < 1.
 
     `max_mutations=0` yields exactly the negation.
     """
-    _check_width(n_bits)
+    n_bits = _check_width(n_bits)
+    max_mutations = operator.index(max_mutations)
+    max_candidates = operator.index(max_candidates)
     if max_mutations < 0:
         raise ValueError(f"max_mutations must be >= 0, got {max_mutations}")
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
     size = 1 << n_bits
-    edges = [(q, q ^ (1 << b)) for q in range(size) for b in range(n_bits) if q < q ^ (1 << b)]
-    images = list(negation(n_bits).images)
-    used = bytearray(size)
-    not_chaotic = {tuple(v ^ (1 << b) for v in images) for b in range(n_bits)} if require_chaos else ()
+    mask = size - 1
+    # each edge (q, q ^ w) with the negation's images at its two ends
+    weights = [1 << b for b in range(n_bits)]
+    edges = [(q, q ^ w, mask ^ q, mask ^ q ^ w) for q in range(size) for w in weights if q < q ^ w]
+    images = list(range(mask, -1, -1))
 
     def matchings(first: int, left: int) -> Iterator[None]:
         """Yield once per vertex-disjoint choice of `left` edges from edges[first:],
@@ -356,25 +380,23 @@ def search_functions(
             yield
             return
         for e in range(first, len(edges)):
-            q, partner = edges[e]
-            if used[q] or used[partner]:
+            q, partner, a, b = edges[e]
+            if images[q] != a or images[partner] != b:
                 continue
-            used[q] = used[partner] = 1
-            images[q], images[partner] = images[partner], images[q]
+            images[q], images[partner] = b, a
             yield from matchings(e + 1, left - 1)
-            images[q], images[partner] = images[partner], images[q]
-            used[q] = used[partner] = 0
+            images[q], images[partner] = a, b
 
     count = 0
     for d in range(max_mutations + 1):
         before = count
+        perfect = require_chaos and 2 * d == size
         for _ in matchings(0, d):
             if count == max_candidates:
                 raise ResourceLimitError(f"search exceeded the cap of {max_candidates} candidates")
             count += 1
-            vec = tuple(images)
-            if vec not in not_chaotic:
-                yield VectorOfImages(n_bits, vec)
+            if not (perfect and len(set(map(operator.xor, images, range(size)))) == 1):
+                yield VectorOfImages(n_bits, images)
         if count == before:
             break
 

@@ -22,14 +22,16 @@ generator is built:
   ceil((k + 1) / g) steps;
 * "scalar", for other f at wide N: one update at a time.
 
-Closeness is the defect rate of _defects, the share of updates that
-depart from the negation; at most _FLIP_RATE takes "flips".  Defects are
-computed for each bulk generator from f.array, and sequence tables once
-per (f, k) value, a bounded cache keeping the last _GROUP_TABLES; these are
-read-only, so generators over equal functions share them.  A
-bulk block holds at most _BLOCK_ROUNDS rounds and _BLOCK_UPDATES
-updates, so its arrays stay bounded at any k.  Other generators run
-round() for every round; a failing source raises there.
+Closeness is the defect rate, the share of updates that depart from the
+negation over uniform states: the popcount of `func.defects` summed over
+N 2^N, 0 for the negation.  At most _FLIP_RATE takes "flips".  Defects
+are computed for each bulk generator from f.array (at N=16 about 0.1
+ms, less than hashing f's 65536 images to look them up), and sequence
+tables once per (f, k) value, a bounded cache keeping the last
+_GROUP_TABLES; these are read-only, so generators over equal functions
+share them.  A bulk block holds at most _BLOCK_ROUNDS rounds and
+_BLOCK_UPDATES updates, so its arrays stay bounded at any k.  Other
+generators run round() for every round; a failing source raises there.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import operator
 import numpy as np
 
 from . import bitops
-from .func import VectorOfImages, mapping_matrix
+from .func import VectorOfImages, defects, mapping_matrix
 from .sources import EntropySource, Xorshift64
 
 # Rounds per bulk block, and updates per bulk block: together they bound
@@ -70,20 +72,20 @@ _GROUP_ENTRIES = 1 << 15
 # Sequence tables kept by _group_table's cache.  The benchmark's stream
 # workload cycles 9 functions at one k, and acceptance test 07 uses 8.
 _GROUP_TABLES = 16
-# Largest defect rate (see _defects) whose generators take "flips".  Each
-# held update costs "flips" about 10 us; on a 4096-round block at
-# k = 3N + 1 (2-core Xeon, min of 5 calls) it beat the N=8 group-table
-# walk up to a rate of about 6e-3 (3.9e-3: 6.3 against 7.8 ms; 7.8e-3:
-# 8.6 against 7.7 ms) and the N=12 scalar loop up to about 1e-2 (5.2e-3:
-# 12.6 against 20.7 ms; 1.04e-2: 18.8 against 18.1 ms).  1/1024 leaves a
-# margin of four over the nearer.
+# Largest defect rate (see the module docstring) whose generators take
+# "flips".  Each held update costs "flips" about 10 us; on a 4096-round
+# block at k = 3N + 1 (2-core Xeon, min of 5 calls) it beat the N=8
+# group-table walk up to a rate of about 6e-3 (3.9e-3: 6.3 against 7.8
+# ms; 7.8e-3: 8.6 against 7.7 ms) and the N=12 scalar loop up to about
+# 1e-2 (5.2e-3: 12.6 against 20.7 ms; 1.04e-2: 18.8 against 18.1 ms).
+# 1/1024 leaves a margin of four over the nearer.
 _FLIP_RATE = 1 / 1024
 # Updates in the widest window _flip_rounds checks.  A window's states,
 # masks, defects and held test are temporaries of one entry per update,
 # so it bounds each to 64 KiB; the block's one array of one entry per
 # update is the prefix XOR of its masks.  Windows start, and restart
-# after a held update, at the expected gap between held updates, 1 / rate
-# (see _defects), or at this bound if that is wider.
+# after a held update, at the expected gap between held updates, 1 / rate,
+# or at this bound if that is wider.
 _FLIP_WINDOW_MAX = 1 << 14
 # Held updates a "flips" block may meet, one per _HELD_SHARE updates and at
 # least 16, before it hands the rest of the block to the scalar loop.  The
@@ -157,15 +159,17 @@ class CiGenerator:
         if not bulk or config.k + 1 > _BLOCK_UPDATES:
             self.path = "round"
             return
-        self._defects, rate = _defects(config.f)
+        f = config.f
+        self._defects = defects(f)
+        rate = int(np.bitwise_count(self._defects).sum()) / (f.n_bits << f.n_bits)
         self._held = rate > 0  # whether any update can be held: not under the negation
         # "flips" windows start at the expected gap between held updates
         self._window = min(_FLIP_WINDOW_MAX, int(1 / rate)) if rate else _FLIP_WINDOW_MAX
         if rate <= _FLIP_RATE:
             self.path = "flips"
-        elif (config.f.n_bits + 1) << config.f.n_bits <= _GROUP_ENTRIES:
+        elif (f.n_bits + 1) << f.n_bits <= _GROUP_ENTRIES:
             self.path = "composed"
-            self._groups = _group_table(config.f, config.k)
+            self._groups = _group_table(f, config.k)
         else:
             self.path = "scalar"
 
@@ -274,13 +278,13 @@ class CiGenerator:
 
         With no update held, the state before update j is x XOR before[j],
         the XOR of the block's masks ahead of j; mask j is before[j] XOR
-        before[j + 1].  An update is held when d(state) & mask != 0 (see
-        _defects): the state stays, so from there on every state is the
-        prefix's with that mask XORed in, which c tracks.  A window of
-        updates finds its first held one in one gather of d.  Windows
-        start, and restart after a held update, at the expected gap
-        between held updates, and a window holding none makes the next
-        twice as long.  A generator with no defects (the negation) holds
+        before[j + 1].  An update is held when d(state) & mask != 0, d
+        being `func.defects`: the state stays, so from there on every
+        state is the prefix's with that mask XORed in, which c tracks.  A
+        window of updates finds its first held one in one gather of d.
+        Windows start, and restart after a held update, at the expected
+        gap between held updates, and a window holding none makes the
+        next twice as long.  A generator with no defects (the negation) holds
         none, and skips the search.  Past the block's budget of held
         updates, the rest of the block, from the current round on, goes
         to the scalar loop.
@@ -342,22 +346,6 @@ class CiGenerator:
         n_rounds = -(-8 * n_bytes // n)  # ceil: enough rounds, tail bits dropped
         bits = bitops.state_bits(self.states(n_rounds), n)
         return bitops.pack_bits(bits[: 8 * n_bytes])
-
-
-def _defects(f: VectorOfImages) -> tuple[np.ndarray, float]:
-    """f's departures from the negation, and their rate.
-
-    d(x) = f(x) XOR (2^N - 1 - x) holds the digits that an update at x
-    keeps instead of flipping: an update with mask w is held, the state
-    staying, exactly when d(x) & w != 0.  The rate is the share of held
-    updates over uniform states, sum of popcount d(x) over N 2^N, 0 for
-    the negation.  The array is read-only.  They are computed afresh from
-    f.array for each bulk generator: at N=16 that takes about 0.1 ms,
-    less than hashing f's 65536 images to look them up.
-    """
-    d = f.array ^ np.arange(f.mask, -1, -1, dtype=np.int32)
-    d.flags.writeable = False
-    return d, int(np.bitwise_count(d).sum()) / (f.n_bits << f.n_bits)
 
 
 @functools.lru_cache(maxsize=_GROUP_TABLES)

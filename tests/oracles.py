@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import mpmath
 
+from ciprng.errors import ResourceLimitError
+from ciprng.func import VectorOfImages, _check_width, negation
+
 
 def interpret_updates(images, n_bits, x0, strategy):
     """Definitional single-cell iteration over an explicit bit vector.
@@ -186,3 +189,50 @@ def dot_lines(g):
         lines += [f"  {name} -> {names[h]} [label={label}];" for label, h in enumerate(heads, 1)]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def search_functions(n_bits, max_mutations, require_chaos=False, max_candidates=1_000_000):
+    """The paired-edit search as the library first wrote it: the matchings of
+    the N-cube by a recursion that marks its vertices in a `used` array,
+    and a set of the N non-chaotic functions that every candidate, copied
+    to a tuple, is looked up in.  Same order, same cap rule and errors.
+    """
+    _check_width(n_bits)
+    if max_mutations < 0:
+        raise ValueError(f"max_mutations must be >= 0, got {max_mutations}")
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
+    size = 1 << n_bits
+    edges = [(q, q ^ (1 << b)) for q in range(size) for b in range(n_bits) if q < q ^ (1 << b)]
+    images = list(negation(n_bits).images)
+    used = bytearray(size)
+    not_chaotic = {tuple(v ^ (1 << b) for v in images) for b in range(n_bits)} if require_chaos else ()
+
+    def matchings(first, left):
+        """Yield once per vertex-disjoint choice of `left` edges from edges[first:],
+        with `images` swapped across the chosen edges."""
+        if left == 0:
+            yield
+            return
+        for e in range(first, len(edges)):
+            q, partner = edges[e]
+            if used[q] or used[partner]:
+                continue
+            used[q] = used[partner] = 1
+            images[q], images[partner] = images[partner], images[q]
+            yield from matchings(e + 1, left - 1)
+            images[q], images[partner] = images[partner], images[q]
+            used[q] = used[partner] = 0
+
+    count = 0
+    for d in range(max_mutations + 1):
+        before = count
+        for _ in matchings(0, d):
+            if count == max_candidates:
+                raise ResourceLimitError(f"search exceeded the cap of {max_candidates} candidates")
+            count += 1
+            vec = tuple(images)
+            if vec not in not_chaotic:
+                yield VectorOfImages(n_bits, vec)
+        if count == before:
+            break

@@ -97,6 +97,7 @@ def test_a_child_peak_rss_at_the_harness_own_is_refused(tmp_path):
         ("battery", "frequency"),
         ("battery", bench.RAGGED_BATTERY),
         ("verify", "is_strongly_connected(random(12))"),
+        ("search", "search_functions(4, 8, require_chaos=True)"),
     ],
 )
 def test_one_call_per_layer_through_the_worker(layer, name, tmp_path):

@@ -39,8 +39,23 @@ def random_function(n_bits, seed):
 
 class TestVectorOfImages:
     def test_rejects_narrow_width(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_bits must be >= 2, got 1"):
             func.VectorOfImages(1, (0, 1))
+
+    def test_rejects_width_above_table_limit(self):
+        # as negation and parse_function do: no table, and so no graph, past N=16
+        with pytest.raises(ResourceLimitError):
+            func.VectorOfImages(func.MAX_TABLE_BITS + 1, range(1 << (func.MAX_TABLE_BITS + 1)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [func.negation, func.identity, lambda n: func.VectorOfImages(n, range(1 << n))],
+        ids=["negation", "identity", "constructor"],
+    )
+    def test_numpy_width_becomes_int(self, build):
+        f = build(np.int64(4))
+        assert type(f.n_bits) is int
+        assert repr(f).startswith("VectorOfImages(n_bits=4, ")
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -449,6 +464,65 @@ class TestSearchFunctions:
         search = func.search_functions(2, depth, max_candidates=cap)
         with pytest.raises(ValueError):
             next(search)
+
+    @pytest.mark.parametrize("cap", [1.5, 7.0])
+    def test_rejects_non_integer_cap(self, cap):
+        # a float cap never equals the count, and would switch the cap off
+        with pytest.raises(TypeError):
+            next(func.search_functions(3, 5, max_candidates=cap))
+
+    def test_rejects_non_integer_depth(self):
+        with pytest.raises(TypeError):
+            next(func.search_functions(3, 2.0))
+
+    def test_numpy_cap_stops_at_its_value(self):
+        found = []
+        with pytest.raises(ResourceLimitError, match="cap of 7 candidates"):
+            for vec in func.search_functions(3, 5, max_candidates=np.int64(7)):
+                found.append(vec)
+        assert len(found) == 7
+
+    @pytest.mark.parametrize(
+        "n_bits, depths",
+        [(2, range(4)), (3, range(6)), (4, [8]), (5, [3])],
+    )
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_equals_the_used_array_enumerator(self, n_bits, depths, chaos):
+        """Function for function and in order, against the search that kept a
+        `used` array and a set of non-chaotic functions: at N = 2 and 3 every
+        depth up to a perfect matching and one past it; a run to depth 8 at
+        N = 4 holds every shallower one as its prefix."""
+        for depth in depths:
+            found = list(func.search_functions(n_bits, depth, require_chaos=chaos))
+            expected = list(oracles.search_functions(n_bits, depth, require_chaos=chaos))
+            assert all(f.n_bits == n_bits for f in found)
+            assert [f.images for f in found] == [f.images for f in expected]
+
+    @pytest.mark.parametrize(
+        "n_bits, depth, caps",
+        [
+            (2, 3, range(1, 9)),
+            (3, 5, range(1, 110)),
+            # at N = 4 before a level, in one, at the first perfect matching and the last
+            (4, 8, [1, 2929, 40754, 41024]),
+            (5, 3, [81, 31000]),
+        ],
+    )
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_caps_cut_both_enumerators_alike(self, n_bits, depth, caps, chaos):
+        def run(search):
+            found = []
+            try:
+                for f in search:
+                    found.append(f.images)
+            except ResourceLimitError as error:
+                return found, str(error)
+            return found, None
+
+        for cap in caps:
+            new = run(func.search_functions(n_bits, depth, chaos, max_candidates=cap))
+            old = run(oracles.search_functions(n_bits, depth, chaos, max_candidates=cap))
+            assert new == old, cap
 
     @pytest.mark.parametrize(
         "n_bits, depth, per_size",

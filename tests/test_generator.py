@@ -853,7 +853,7 @@ class TestFlipEngine:
         # inside the trap 15 updates in 16 are held; outside, the trap and
         # the defects around it are never reached
         f = trap(16)
-        assert func.is_balanced(f) and generator._defects(f)[1] <= generator._FLIP_RATE
+        assert func.is_balanced(f) and np.bitwise_count(func.defects(f)).sum() / (16 << 16) <= generator._FLIP_RATE
         bulk, loop = TestFastPath.make_pair(f.images, 16, k=49, seed_state=seed_state)
         assert bulk.path == "flips"
         scalar = []
@@ -904,10 +904,14 @@ class TestFlipEngine:
         for f in fs:
             mask = f.mask
             d = [f.images[x] ^ (mask - x) for x in range(f.size)]
-            table, rate = generator._defects(f)
-            assert list(table) == d
-            assert rate == sum(bin(v).count("1") for v in d) / (f.n_bits * f.size)
+            table = func.defects(f)
+            assert list(table) == d and table.dtype == np.int32
             assert not table.flags.writeable
+            # the generator's rate sets its first window and whether it searches at all
+            rate = sum(bin(v).count("1") for v in d) / (f.n_bits * f.size)
+            gen = CiGenerator(GeneratorConfig(f, k=3 * f.n_bits + 1, seed_state=0), Xorshift64(1), Xorshift64(2))
+            assert gen._held == (rate > 0)
+            assert gen._window == (min(generator._FLIP_WINDOW_MAX, int(1 / rate)) if rate else generator._FLIP_WINDOW_MAX)
 
     def test_paths(self):
         cases = [(func.negation(n), "flips") for n in (2, 4, 12, 16)]
@@ -919,7 +923,7 @@ class TestFlipEngine:
         for f, path in cases:
             config = GeneratorConfig(f, k=3 * f.n_bits + 1, seed_state=0)
             gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))
-            assert gen.path == path, (f.n_bits, generator._defects(f)[1])
+            assert gen.path == path, (f.n_bits, np.bitwise_count(func.defects(f)).sum())
 
     def test_equal_functions_get_equal_defect_tables(self):
         # each bulk generator computes its own read-only table from f.array
@@ -931,7 +935,7 @@ class TestFlipEngine:
         assert not a._defects.flags.writeable and not b._defects.flags.writeable
 
     def test_round_path_computes_no_defects(self, monkeypatch):
-        monkeypatch.setattr(generator, "_defects", None)
+        monkeypatch.setattr(generator, "defects", None)
         gen = trace_generator()
         assert gen.path == "round" and not hasattr(gen, "_defects")
 
