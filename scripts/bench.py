@@ -32,8 +32,10 @@ The layers:
   stream's raw bytes;
 * `e2e`: the north star's end-to-end commands: `gen` of 1 MiB at N=4; `gen`
   of 10^6 bits then `test` on its file; `search` at N=4, depth 8, with
-  chaos; and acceptance test 07, run by pytest in the tree's root, so that
-  the tree's own `pythonpath` setting picks its `src`;
+  chaos; acceptance test 07, run by pytest in the tree's root, so that the
+  tree's own `pythonpath` setting picks its `src`; and two whose peak RSS
+  would grow with their output if it were held whole: `gen` of 16 MiB at
+  N=4, and `graph` of the N=16 negation to a file;
 * `verify`: the chaos check `is_strongly_connected` on a built graph of the
   negation at N=12, the variant of its 16 seeded paired edits, the Gray-code
   path at N=16 (balanced, 2^N - 1 reachability levels deep) and seeded
@@ -90,6 +92,8 @@ IMPORT_GUARD = "import ciprng, numpy; print(ciprng.__file__, numpy.__version__)"
 STREAM = "import sys, bench, numpy; open(sys.argv[1], 'wb').write(numpy.packbits(bench.seeded_bits()).tobytes())"
 
 GEN = "gen --n-bits 4 --bytes 1048576"
+GEN_16M = "gen --n-bits 4 --bytes 16777216"
+GRAPH_16 = "graph --n-bits 16 --output <tmp>"
 GEN_TEST = "gen --n-bits 4 --bytes 125000, test --stream-format raw"
 SEARCH = "search --n-bits 4 --max-mutations 8 --require-chaos"
 ACCEPTANCE_07 = "acceptance 07"
@@ -125,7 +129,7 @@ ENTRIES = {
         "read_stream:raw-bytes",
         "ciprng test",
     ),
-    "e2e": (GEN, GEN_TEST, SEARCH, ACCEPTANCE_07),
+    "e2e": (GEN, GEN_TEST, SEARCH, ACCEPTANCE_07, GEN_16M, GRAPH_16),
     "verify": tuple(f"is_strongly_connected({f})" for f in VERIFY_CALLS)
     + tuple(f"ciprng verify --porcelain {f}" for f in VERIFY_FILES),
     "search": tuple(SEARCH_ARGS),
@@ -175,7 +179,8 @@ HEADERS = {
         "what": (
             "The north star's end-to-end commands, every one a command entry.  The `gen`, `test` "
             "entry writes 10^6 bits and runs the battery on that file.  `acceptance 07` is that "
-            "pytest test, 160 streams of 10^6 bits, run in the tree's root." + METHOD
+            "pytest test, 160 streams of 10^6 bits, run in the tree's root.  `<tmp>` is a file in "
+            "a temporary directory.  Older runs lack the 16 MiB `gen` and the `graph` entries." + METHOD
         ),
     },
     "verify": {
@@ -211,6 +216,8 @@ def commands(root: Path, tmp: Path) -> dict[str, list[tuple[list[str], Path]]]:
     return {
         "ciprng test": [([*CIPRNG, "test", str(tmp / "stream.bin"), "--stream-format", "raw"], tmp)],
         GEN: [([*CIPRNG, "gen", "--n-bits", "4", "--bytes", "1048576", "--output", out], tmp)],
+        GEN_16M: [([*CIPRNG, "gen", "--n-bits", "4", "--bytes", "16777216", "--output", out], tmp)],
+        GRAPH_16: [([*CIPRNG, "graph", "--n-bits", "16", "--output", str(tmp / "graph.dot")], tmp)],
         GEN_TEST: [
             ([*CIPRNG, "gen", "--n-bits", "4", "--bytes", "125000", "--output", out], tmp),
             ([*CIPRNG, "test", out, "--stream-format", "raw"], tmp),

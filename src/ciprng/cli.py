@@ -5,13 +5,17 @@ a function file), `search` (enumerate balanced functions), `graph` (DOT
 export), `test` (statistical battery on a stream file).
 
 Exit codes: 0 success or all checks passed, 1 a verification or
-statistical test failed, 2 usage, parse, or I/O error.
+statistical test failed, 2 usage, parse, or I/O error.  A reader that
+closes stdout early ends `gen`, `search` and `graph` with 0 and nothing on
+stderr, as if they had run to their end; `verify` and `test`, whose status
+is a verdict, report it as an I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -130,26 +134,44 @@ def _cmd_gen(args) -> int:
     prng1 = _make_source(args.prng1_seed, args.prng1_script, DEFAULT_BIT_SEED)
     prng2 = _make_source(args.prng2_seed, args.prng2_script, DEFAULT_COORD_SEED)
     gen = CiGenerator(config, prng1, prng2)
-
     if args.rounds is not None:
         if args.rounds < 1:
             raise CiprngError(f"--rounds must be >= 1, got {args.rounds}")
-        text = gen.bit_stream(args.rounds, include_seed=args.include_seed) + "\n"
-        if args.output:
-            Path(args.output).write_text(text, encoding="ascii")
-        else:
-            sys.stdout.write(text)
-    else:
-        if args.include_seed:
-            raise CiprngError("--include-seed applies to --rounds output only")
-        if args.n_bytes < 1:
-            raise CiprngError(f"--bytes must be >= 1, got {args.n_bytes}")
-        data = gen.byte_stream(args.n_bytes)
-        if args.output:
-            Path(args.output).write_bytes(data)
-        else:
-            sys.stdout.buffer.write(data)
+    elif args.include_seed:
+        raise CiprngError("--include-seed applies to --rounds output only")
+    elif args.n_bytes < 1:
+        raise CiprngError(f"--bytes must be >= 1, got {args.n_bytes}")
+    _write(args.output, _gen_pieces(gen, args))
     return 0
+
+
+def _gen_pieces(gen: CiGenerator, args):
+    """The stream of `gen`, one block's rounds a piece.
+
+    A piece is a multiple of 8 rounds, so whole bytes at any N, and one
+    byte_stream or bit_stream call; the seed goes on the first piece only
+    and the last takes what is left.  The pieces join into the stream of
+    one call, and leave both sources where that call would.
+    """
+    rounds = max(8, gen.block_rounds // 8 * 8)
+    if args.rounds is None:
+        size = rounds * gen.config.f.n_bits // 8
+        for start in range(0, args.n_bytes, size):
+            yield gen.byte_stream(min(size, args.n_bytes - start))
+        return
+    for start in range(0, args.rounds, rounds):
+        seed = args.include_seed and start == 0
+        yield gen.bit_stream(min(rounds, args.rounds - start), include_seed=seed).encode("ascii")
+    yield b"\n"
+
+
+def _write(output, chunks) -> None:
+    """Write chunks of bytes to the file `output`, opened once, or to stdout."""
+    if output:
+        with open(output, "wb") as sink:
+            sink.writelines(chunks)
+    else:
+        sys.stdout.buffer.writelines(chunks)
 
 
 def _cmd_verify(args) -> int:
@@ -189,11 +211,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_graph(args) -> int:
     f = _load_function(args)
-    dot = graph.export_dot(graph.build_graph(f))
-    if args.output:
-        Path(args.output).write_text(dot, encoding="ascii")
-    else:
-        sys.stdout.write(dot)
+    _write(args.output, [graph.dot_bytes(graph.build_graph(f))])
     return 0
 
 
@@ -234,8 +252,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return status
     except (CiprngError, ValueError, OSError) as exc:
+        stream = args.command in ("gen", "search", "graph") and not getattr(args, "output", None)
+        if stream and isinstance(exc, BrokenPipeError):
+            # a reader closed stdout early; the interpreter's last flush of it would fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 0
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

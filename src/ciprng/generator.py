@@ -29,9 +29,10 @@ are computed for each bulk generator from f.array (at N=16 about 0.1
 ms, less than hashing f's 65536 images to look them up), and sequence
 tables once per (f, k) value, a bounded cache keeping the last
 _GROUP_TABLES; these are read-only, so generators over equal functions
-share them.  A bulk block holds at most _BLOCK_ROUNDS rounds and
-_BLOCK_UPDATES updates, so its arrays stay bounded at any k.  Other
-generators run round() for every round; a failing source raises there.
+share them.  A bulk block holds at most _BLOCK_UPDATES updates, so its
+arrays stay bounded at any N and k: `block_rounds` rounds of k + 1
+updates.  Other generators run round() for every round; a failing source
+raises there.
 """
 
 from __future__ import annotations
@@ -47,17 +48,19 @@ from . import bitops
 from .func import VectorOfImages, defects, mapping_matrix
 from .sources import EntropySource, Xorshift64
 
-# Rounds per bulk block, and updates per bulk block: together they bound
-# the working arrays of one states() call, whatever k is.  The round cap
-# costs time at N=4, and at N=8 it pays for some f only.  With blocks bounded
-# by updates alone against capped ones (k = 3N + 1, 2-core Xeon, min of 9
-# alternating calls), N=4 states(250_000) took 53.6 against 59.6 ms under
-# the third published variant ("composed") and 19.9 against 23.6 ms under
-# the negation ("flips"); N=8 states(100_000) took 75.8 against 65.2 ms
-# under seeded random images and 51.6 against 54.2 ms under a seeded
-# random permutation (both "composed").
-_BLOCK_ROUNDS = 4096
-_BLOCK_UPDATES = 1 << 18
+# Updates per bulk block: the one budget that bounds a block's working
+# arrays at any N and k (`block_rounds` rounds), and so the pieces `gen`
+# writes.  A round cap besides no longer pays.  Against blocks of at most
+# 4096 rounds (k = 3N + 1, 2-core Xeon, min of 9 alternating calls), N=4
+# states(2^20) took 342.9 against 393.5 ms under the third published
+# variant ("composed") and 122.4 against 152.6 ms under the negation
+# ("flips"); N=8 states(2^18) 259.8 against 267.1 ms under seeded random
+# images and 158.7 against 162.8 ms under a random permutation, N=16
+# negation states(2^18) 98.2 against 95.9 ms.  2^18 is no faster in one
+# process (327.4 and 114.6 ms at N=4), and one-shot `gen --bytes 1048576`
+# under that variant took 0.82 s at 2^18 against 0.73 s (median of 9
+# alternating runs).  Every call of the benchmark is one block.
+_BLOCK_UPDATES = 1 << 17
 # Entries allowed in one generator's table of update sequences.  It bounds
 # the group length g, and sets the widest N that walks the table at all: the
 # identity and the one-update rows, (N + 1) << N entries, must fit, so
@@ -156,7 +159,7 @@ class CiGenerator:
         # bulk blocks draw arrays, which only Xorshift64 gives; a subclass
         # could draw singles that its inherited arrays do not match
         bulk = type(prng1) is Xorshift64 and type(prng2) is Xorshift64
-        if not bulk or config.k + 1 > _BLOCK_UPDATES:
+        if not bulk or self.block_rounds < 1:
             self.path = "round"
             return
         f = config.f
@@ -172,6 +175,12 @@ class CiGenerator:
             self._groups = _group_table(f, config.k)
         else:
             self.path = "scalar"
+
+    @property
+    def block_rounds(self) -> int:
+        """Rounds in one bulk block: as many as _BLOCK_UPDATES updates hold
+        at k + 1 updates a round, 0 when one round exceeds it."""
+        return _BLOCK_UPDATES // (self.config.k + 1)
 
     def round(self) -> int:
         """Run one round (m = bit + k updates) and return the new state."""
@@ -205,8 +214,7 @@ class CiGenerator:
         out = np.empty(n_rounds, dtype=np.int64)
         engines = {"flips": self._flip_rounds, "composed": self._compose_rounds}
         run = engines.get(self.path, self._scalar_rounds)
-        # at large k fewer rounds fit a block
-        size = min(_BLOCK_ROUNDS, _BLOCK_UPDATES // (self.config.k + 1))
+        size = self.block_rounds
         for start in range(0, n_rounds, size):
             block = out[start : start + size]
             # widen before adding k: a uint8 bit plus k = 255 would wrap

@@ -172,7 +172,13 @@ def export_dot(g: IterationGraph) -> str:
     """Graph in DOT format; vertices as fixed-width bit strings, arcs labeled.
 
     Output is deterministic: vertices ascending, then arcs by (vertex,
-    label) ascending.
+    label) ascending.  It is the text of `dot_bytes`.
+    """
+    return str(dot_bytes(g), "ascii")
+
+
+def dot_bytes(g: IterationGraph) -> np.ndarray:
+    """The ASCII bytes of `export_dot`, as one uint8 array, for writing as they are.
 
     Every vertex's lines have one length, its arc labels being 1..N, so
     the text is built as one byte array: a per-vertex template of the
@@ -204,4 +210,4 @@ def export_dot(g: IterationGraph) -> str:
             block[:, column : column + n] = names if vertices is None else names[vertices]
         at += block.size
     text[at:] = np.frombuffer(tail, dtype=np.uint8)
-    return str(text, "ascii")
+    return text

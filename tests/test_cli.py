@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import ciprng
-from ciprng import cli, func, stats
+from ciprng import cli, func, generator, graph, stats
+from ciprng.errors import ScriptExhaustedError
 from ciprng.generator import CiGenerator, GeneratorConfig
-from ciprng.sources import Xorshift64
+from ciprng.sources import ScriptedSource, Xorshift64
 
 from reference_data import (
     KNOWN_CHAOTIC_VARIANTS,
@@ -38,6 +39,12 @@ def sixteen_bit_unbalanced():
     images = list(func.negation(16).images)
     images[0] ^= 1 << 13
     return func.VectorOfImages(16, images)
+
+
+def dense_function(n_bits):
+    """Seeded random images: a function far from the negation."""
+    rnd = np.random.default_rng(n_bits)
+    return func.VectorOfImages(n_bits, rnd.integers(0, 1 << n_bits, 1 << n_bits).tolist())
 
 
 @pytest.fixture
@@ -137,6 +144,91 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen", "--n-bits", "4", "--rounds", "1", "--bytes", "1"])
         assert exc.value.code == 2
+
+
+class TestGenPieces:
+    """gen writes one block's rounds a piece, and the pieces join into one call's stream."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The generators that cli.main builds from now on, and the sizes of their stream calls."""
+        made, calls = [], []
+
+        class Recorded(CiGenerator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def byte_stream(self, n_bytes):
+                calls.append(n_bytes)
+                return super().byte_stream(n_bytes)
+
+            def bit_stream(self, n_rounds, include_seed=False):
+                calls.append(n_rounds)
+                return super().bit_stream(n_rounds, include_seed)
+
+        monkeypatch.setattr(cli, "CiGenerator", Recorded)
+        return made, calls
+
+    # rounds a block holds under the patched budget: 43 gives pieces of 40
+    # rounds; 3, and 0 (one round exceeds the budget, so round() runs), 8
+    @pytest.mark.parametrize("block, piece", [(43, 40), (3, 8), (0, 8)])
+    @pytest.mark.parametrize("n_bits", [3, 5, 12, 16])
+    def test_pieces_equal_one_call(self, monkeypatch, tmp_path, capsysbinary, n_bits, block, piece):
+        k = 3 * n_bits + 1
+        monkeypatch.setattr(generator, "_BLOCK_UPDATES", block * (k + 1))
+        config = GeneratorConfig(func.negation(n_bits) if n_bits == 16 else dense_function(n_bits), k=k, seed_state=1)
+        path = tmp_path / "f.fn"
+        func.write_function(config.f, path)
+        count = 1001  # ends in a partial piece, whatever the piece
+        modes = [(["--bytes", str(count)], piece * n_bits // 8, lambda gen: gen.byte_stream(count))]
+        for seed in (False, True):
+            modes.append((["--rounds", str(count)] + ["--include-seed"] * seed, piece,
+                          lambda gen, seed=seed: (gen.bit_stream(count, include_seed=seed) + "\n").encode()))
+        for flags, size, one_call in modes:
+            for output in (tmp_path / "out", None):
+                made, calls = self.recorded(monkeypatch)
+                argv = ["gen", "--function", str(path), "--seed-state", "1", "--prng1-seed", "5",
+                        "--prng2-seed", "6", *flags] + (["--output", str(output)] if output else [])
+                assert cli.main(argv) == 0
+                written = output.read_bytes() if output else capsysbinary.readouterr().out
+                one = CiGenerator(config, Xorshift64(5), Xorshift64(6))
+                assert written == one_call(one), (flags, output)
+                assert calls == [size] * (count // size) + [count % size]
+                (gen,) = made
+                assert (gen.prng1.state, gen.prng2.state) == (one.prng1.state, one.prng2.state)
+                assert (gen.x, gen.rounds_emitted) == (one.x, one.rounds_emitted)
+
+    def test_source_running_out_keeps_the_pieces_written(self, monkeypatch, tmp_path, capsys):
+        # blocks of 9 rounds, pieces of 8: the bits run out in the third piece
+        monkeypatch.setattr(generator, "_BLOCK_UPDATES", 9 * 14)
+        bits = [1, 0, 1] * 7  # 21 rounds
+        coords = [1, 2, 3, 4] * 100
+        out = tmp_path / "out"
+        rc = cli.main(["gen", "--n-bits", "4", "--prng1-script", ",".join(map(str, bits)),
+                       "--prng2-script", ",".join(map(str, coords)), "--rounds", "100",
+                       "--output", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        config = GeneratorConfig(func.negation(4), k=13, seed_state=0)
+        one = CiGenerator(config, ScriptedSource(bits), ScriptedSource(coords))
+        assert out.read_text() == one.bit_stream(16)
+        with pytest.raises(ScriptExhaustedError):
+            one.bit_stream(8)
+
+    def test_memory_does_not_grow_with_output(self):
+        # peak RSS of each child from os.wait4 in a bare interpreter, whose
+        # own peak, unlike this process's, the child's reading cannot exceed
+        def start(n_bytes):
+            gen = [*CIPRNG, "gen", "--n-bits", "4", "--bytes", str(n_bytes)]
+            return subprocess.Popen([sys.executable, "-c", PEAK_RSS, *gen], stdout=subprocess.PIPE,
+                                    text=True, env=module_env())
+
+        children = [start(16 << 20), start(64 << 20)]
+        (rc16, kib16), (rc64, kib64) = (map(int, child.communicate()[0].split()) for child in children)
+        assert rc16 == rc64 == 0
+        assert kib16 < 64 << 10
+        assert abs(kib64 - kib16) < 5 << 10
 
 
 class TestVerify:
@@ -240,6 +332,14 @@ class TestGraph:
         assert rc == 0
         assert out.read_text().count("->") == 64
 
+    def test_bytes_are_export_dot(self, tmp_path, capsysbinary):
+        out = tmp_path / "g.dot"
+        assert cli.main(["graph", "--n-bits", "12", "--output", str(out)]) == 0
+        dot = graph.export_dot(graph.build_graph(func.negation(12))).encode("ascii")
+        assert out.read_bytes() == dot
+        assert cli.main(["graph", "--n-bits", "12"]) == 0
+        assert capsysbinary.readouterr().out == dot
+
 
 class TestTest:
     def test_all_zeros_reports_monobit_fail(self, tmp_path, capsys):
@@ -339,16 +439,23 @@ class TestParserReuse:
         assert cli.build_parser() is not cli.build_parser()
 
 
+CIPRNG = [sys.executable, "-m", "ciprng"]
+# run in a bare interpreter: the exit status and peak RSS (KiB) of one child
+PEAK_RSS = (
+    "import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(child.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def module_env():
+    """The environment of a child process that imports the package under test."""
+    src = str(Path(ciprng.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_module(*args):
     """Run `python -m ciprng` in a child process that imports the package under test."""
-    src = str(Path(ciprng.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "ciprng", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([*CIPRNG, *args], capture_output=True, text=True, env=module_env())
 
 
 class TestEntryPoint:
@@ -360,3 +467,19 @@ class TestEntryPoint:
     def test_usage_error_is_2(self):
         proc = run_module("bogus")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--n-bits", "4", "--bytes", "4000000"],
+         ["search", "--n-bits", "4", "--max-mutations", "8"],
+         ["graph", "--n-bits", "12"]],
+    )
+    def test_reader_closing_stdout_early_ends_quietly(self, argv):
+        # each writes far more than a pipe holds, so a write meets the closed end
+        with subprocess.Popen([*CIPRNG, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=module_env()) as child:
+            head = child.stdout.read(16)
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (0, b"")
+        assert len(head) == 16

@@ -219,7 +219,8 @@ class TestFastPath:
     def test_states_match(self):
         # more rounds than one bulk block, so blocks are chained too
         bulk, loop = self.make_pair(func.negation(4).images, 4)
-        assert list(bulk.states(5000)) == [loop.round() for _ in range(5000)]
+        n_rounds = bulk.block_rounds + 100
+        assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
         self.assert_same_end(bulk, loop)
 
     def test_states_match_other_widths(self):
@@ -272,10 +273,9 @@ class TestFastPath:
 
     def test_chunked_calls_equal_one_call(self):
         # chunks around a whole block and the short ones below it; at
-        # k = 5000 a block holds 52 rounds
+        # k = 5000 a block holds _BLOCK_UPDATES // 5001 rounds, under 64
         short = [1, 7, 63, 64, 65]
-        whole = [generator._BLOCK_ROUNDS - 1, generator._BLOCK_ROUNDS + 1]
-        cases = [(n_bits, 3 * n_bits + 1, short + whole) for n_bits in (2, 4, 5, 10, 12, 16)]
+        cases = [(n_bits, 3 * n_bits + 1, short + whole_blocks(3 * n_bits + 1)) for n_bits in (2, 4, 5, 10, 12, 16)]
         cases += [(4, 5000, short), (12, 5000, short)]
         rnd = random.Random(9)
         for n_bits, k, chunks in cases:
@@ -386,7 +386,7 @@ class TestScriptedBulk:
         self.assert_same_end(bulk, loop)
 
     def test_failure_in_later_block_keeps_earlier_blocks(self):
-        n_rounds = generator._BLOCK_ROUNDS + 300
+        n_rounds = generator._BLOCK_UPDATES // (self.K + 1) + 300
         bits, coords = self.scripts(n_rounds)
         bulk, loop = self.make_pair(bits[:-100], coords)
         message = self.round_loop_failure(loop, n_rounds, ScriptExhaustedError)
@@ -456,6 +456,12 @@ def trap(n_bits):
 ENGINES = {"flips": "_flip_rounds", "composed": "_compose_rounds", "scalar": "_scalar_rounds"}
 
 
+def whole_blocks(k):
+    """Chunks one round short of a whole block at k, and one round past it."""
+    block = generator._BLOCK_UPDATES // (k + 1)
+    return [block - 1, block + 1]
+
+
 def engine_blocks(gen):
     """Sizes of the blocks gen.states() sends to its bulk engine from now on."""
     name = ENGINES[gen.path]
@@ -518,12 +524,13 @@ class TestBlockUpdateCap:
         assert list(bulk.states(5)) == [loop.round() for _ in range(5)]
         TestFastPath.assert_same_end(bulk, loop)
 
-    def test_block_rounds_unchanged_at_small_k(self):
-        # at k = 13 the update cap leaves whole blocks of _BLOCK_ROUNDS
+    def test_budget_alone_sizes_blocks_at_small_k(self):
+        # at k = 13 a block holds as many rounds of 14 updates as the budget does
         bulk, _ = TestFastPath.make_pair(func.negation(4).images, 4, k=13)
+        assert bulk.block_rounds == generator._BLOCK_UPDATES // 14
         blocks = engine_blocks(bulk)
-        bulk.states(2 * generator._BLOCK_ROUNDS)
-        assert blocks == [generator._BLOCK_ROUNDS] * 2
+        bulk.states(2 * bulk.block_rounds + 5)
+        assert blocks == [generator._BLOCK_UPDATES // 14] * 2 + [5]
 
 
 class TestPathBlocks:
@@ -533,9 +540,10 @@ class TestPathBlocks:
         bulk, loop = TestFastPath.make_pair(dense(4).images, 4, k=13)
         assert bulk.path == "composed"
         blocks = engine_blocks(bulk)
-        n_rounds = generator._BLOCK_ROUNDS + 100
+        block = generator._BLOCK_UPDATES // (bulk.config.k + 1)
+        n_rounds = block + 100
         assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
-        assert blocks == [generator._BLOCK_ROUNDS, 100]
+        assert blocks == [block, 100]
 
     def test_wide_call_is_scalar(self):
         bulk, loop = TestFastPath.make_pair(dense(12).images, 12, k=37)
@@ -549,9 +557,10 @@ class TestPathBlocks:
         bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=3 * n_bits + 1)
         assert bulk.path == "flips"
         blocks = engine_blocks(bulk)
-        n_rounds = generator._BLOCK_ROUNDS + 100
+        block = generator._BLOCK_UPDATES // (bulk.config.k + 1)
+        n_rounds = block + 100
         assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
-        assert blocks == [generator._BLOCK_ROUNDS, 100]
+        assert blocks == [block, 100]
 
     def test_short_calls_run_bulk(self):
         for f in (dense(4), func.negation(4)):
@@ -580,7 +589,7 @@ class TestPathBlocks:
 
         bulk, loop = make(), make()
         assert bulk.path == "round"
-        n_rounds = generator._BLOCK_ROUNDS + 100
+        n_rounds = generator._BLOCK_UPDATES // 14 + 100
         assert list(bulk.states(n_rounds)) == [loop.round() for _ in range(n_rounds)]
         assert (bulk.x, bulk.rounds_emitted) == (loop.x, loop.rounds_emitted)
 
@@ -675,7 +684,7 @@ class TestSequenceTable:
         bulk, loop = TestFastPath.make_pair(f.images, n_bits, k=k, seed_state=(7 * k) % f.size)
         one, _ = TestFastPath.make_pair(f.images, n_bits, k=k, seed_state=(7 * k) % f.size)
         assert bulk.path == "composed"
-        block = min(generator._BLOCK_ROUNDS, generator._BLOCK_UPDATES // (k + 1))
+        block = generator._BLOCK_UPDATES // (k + 1)
         # short calls, a call one round short of a block, and one a round past it
         chunks = [1, 7, 64, block - 1, block + 1, 3]
         if (per - 1) * g == k:
@@ -709,9 +718,9 @@ class TestSequenceTable:
         assert [generator._group_table(f, k)[1] for k in (1, 2, 5, 6, 7, 100)] == [2, 3, 6, 7, 4, 7]
 
     def test_composed_block_peak_bounded_against_scalar_loop(self, monkeypatch):
-        # one full block at N=10, k=255: 1024 rounds, 2^18 updates.  The
-        # walk that padded every round to whole groups peaked at 10.22 MiB
-        # there, against 4.05 MiB for the scalar loop.
+        # one full block at N=10, k=255: _BLOCK_UPDATES // 256 rounds.  On a
+        # block of 2^18 updates the walk that padded every round to whole
+        # groups peaked at 10.22 MiB, against 4.05 MiB for the scalar loop.
         def peak(entries):
             monkeypatch.setattr(generator, "_GROUP_ENTRIES", entries)
             config = GeneratorConfig(dense(10), k=255, seed_state=0)
@@ -768,8 +777,7 @@ class TestFlipEngine:
         # the N=4 edit is dense: it runs "flips" only here, handing off
         monkeypatch.setattr(generator, "_FLIP_RATE", 1 / 32)
         short = [1, 7, 63, 64, 65]
-        whole = [generator._BLOCK_ROUNDS - 1, generator._BLOCK_ROUNDS + 1]
-        cases = [(n_bits, 3 * n_bits + 1, short + whole) for n_bits in (4, 12, 16)]
+        cases = [(n_bits, 3 * n_bits + 1, short + whole_blocks(3 * n_bits + 1)) for n_bits in (4, 12, 16)]
         cases += [(12, 5000, short), (16, 5000, short)]
         for n_bits, k, chunks in cases:
             for f in (func.negation(n_bits), paired_edits(n_bits, 16 if n_bits > 4 else 1)):
@@ -813,8 +821,8 @@ class TestFlipEngine:
     def test_negation_chunked_calls_search_no_held_update(self, n_bits):
         # the negation holds no update, so no window reads its defect table:
         # without one, chunked calls still equal the round loop
-        chunks = [1, 7, 63, 64, 65, generator._BLOCK_ROUNDS + 1]
         bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits)
+        chunks = [1, 7, 63, 64, 65, bulk.block_rounds + 1]
         assert bulk.path == "flips" and not bulk._held
         bulk._defects = None
         combined = np.concatenate([bulk.states(c) for c in chunks])
@@ -940,7 +948,7 @@ class TestFlipEngine:
         assert gen.path == "round" and not hasattr(gen, "_defects")
 
     def test_block_peaks_no_higher_than_scalar_loop(self, monkeypatch):
-        # one full block at N=16, k=49: 4096 rounds, about 203k updates
+        # one full block at N=16, k=49: _BLOCK_UPDATES // 50 rounds
         def peak(rate):
             monkeypatch.setattr(generator, "_FLIP_RATE", rate)
             config = GeneratorConfig(func.negation(16), k=49, seed_state=0)
@@ -948,7 +956,7 @@ class TestFlipEngine:
             gen.states(1)  # the sources' cached tables
             tracemalloc.start()
             try:
-                gen.states(generator._BLOCK_ROUNDS)
+                gen.states(gen.block_rounds)
                 return gen.path, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
