@@ -19,7 +19,9 @@ generator is built:
 * "composed", for other f at narrow N: a walk through a table of the
   maps of every sequence of up to g updates, built from f's mapping
   matrix as `func.mapping_matrix` gives it, a round's updates taking
-  ceil((k + 1) / g) steps;
+  per = ceil((k + 1) / g) steps, one lookup each, or all three of a
+  round in one walk iteration when per is 3, as at the default k for
+  N=4;
 * "scalar", for other f at wide N: one update at a time.
 
 Closeness is the defect rate, the share of updates that depart from the
@@ -52,13 +54,14 @@ from .sources import EntropySource, Xorshift64
 # arrays at any N and k (`block_rounds` rounds), and so the pieces `gen`
 # writes.  A round cap besides no longer pays.  Against blocks of at most
 # 4096 rounds (k = 3N + 1, 2-core Xeon, min of 9 alternating calls), N=4
-# states(2^20) took 342.9 against 393.5 ms under the third published
-# variant ("composed") and 122.4 against 152.6 ms under the negation
-# ("flips"); N=8 states(2^18) 259.8 against 267.1 ms under seeded random
-# images and 158.7 against 162.8 ms under a random permutation, N=16
-# negation states(2^18) 98.2 against 95.9 ms.  2^18 is no faster in one
-# process (327.4 and 114.6 ms at N=4), and one-shot `gen --bytes 1048576`
-# under that variant took 0.82 s at 2^18 against 0.73 s (median of 9
+# states(2^20) took 140.4-143.4 against 155.7-164.7 ms under the third
+# published variant ("composed", three steps a round) and 122.4 against
+# 152.6 ms under the negation ("flips"); N=8 states(2^18) 259.8 against
+# 267.1 ms under seeded random images and 158.7 against 162.8 ms under a
+# random permutation, N=16 negation states(2^18) 98.2 against 95.9 ms.
+# 2^18 is no faster in one process (134.3-146.9 ms under that variant,
+# 114.6 ms under the negation), and one-shot `gen --bytes 1048576` under
+# that variant took 0.62 s at 2^18 against 0.53 s (median of 9
 # alternating runs).  Every call of the benchmark is one block.
 _BLOCK_UPDATES = 1 << 17
 # Entries allowed in one generator's table of update sequences.  It bounds
@@ -253,8 +256,13 @@ class CiGenerator:
         significant first (past the block's end, 0), a group starting at
         digit i is row offsets[g] + V[i] when full and offsets[L] +
         V[i] mod N^L when it holds L.  One gather turns every group into
-        its row, so a step is one lookup, and every per-th state is a
-        round output.
+        its row.  At per = 3 one walk iteration takes a round's three
+        rows, so the walk keeps just the round outputs; at any other per a
+        step is one lookup, and every per-th state is a round output.
+        Padding rounds to a multiple of three steps with the identity row
+        measured slower at every other per (states(4096), min of 60
+        alternating calls: +42% at N=2, k=7, per 1; +2-4% at N=4, k=9,
+        per 2; +15% at N=4, k=16, per 4).
         """
         n = self.config.f.n_bits
         table, g, offsets = self._groups
@@ -278,6 +286,9 @@ class CiGenerator:
         groups[-1] %= (n ** np.arange(g + 1, dtype=groups.dtype))[last]
         groups[-1] += offsets[last]
         x = self.x
+        if per == 3:
+            out[:] = [x := r3[r2[r1[x]]] for r1, r2, r3 in zip(*table[groups].tolist())]
+            return
         xs = [x := row[x] for row in table[groups.T].ravel()]
         out[:] = xs[per - 1 :: per]
 

@@ -444,7 +444,10 @@ def _pattern_counts(stream: _Packed, m: int) -> np.ndarray:
     m + 3 bits: the leading m + 3 bits of the word at bit 4j hold the
     windows starting at bits 4j..4j+3 whole, so one histogram of those
     (m + 3)-bit values, summed down to m bits at each of the four offsets,
-    counts every window.  The n % 4 windows after the last whole group of
+    counts every window.  Where that histogram would have more bins than
+    the stream has bits (only short streams: the battery asks for at least
+    2^(m + 3) bits), the m-bit windows at the four offsets are counted
+    into 2^m bins directly.  The n % 4 windows after the last whole group of
     four are read one by one from the next word.  The words are made from
     the packed buffer's whole bytes and the few bytes after them that hold
     the stream's start again.
@@ -473,14 +476,20 @@ def _pattern_counts(stream: _Packed, m: int) -> np.ndarray:
     lead = np.empty(groups, dtype=np.intp)
     np.right_shift(even[:n_even], width - 3 - m, out=lead[:n_even])
     np.right_shift(odd[: groups // 2], width - 3 - m, out=lead[n_even:])
-    # after pass j, `counts` holds the (m + 3 - j)-bit windows at offsets
-    # 0..j of the words' leading m + 3 bits: dropping a leading bit moves
-    # those at 0..j-1 to 1..j, and `trailing` adds the one at offset 0
-    counts = trailing = np.bincount(lead, minlength=1 << (m + 3))
-    for _ in range(3):
-        half = counts.size // 2
-        trailing = _marginal(trailing)
-        counts = counts[:half] + counts[half:] + trailing
+    if 1 << (m + 3) > n:
+        # a histogram of more bins than the stream has bits: count the
+        # windows at the four offsets of each word into 2^m bins instead
+        windows = [(lead >> (3 - offset)) & ((1 << m) - 1) for offset in range(4)]
+        counts = np.bincount(np.concatenate(windows), minlength=1 << m)
+    else:
+        # after pass j, `counts` holds the (m + 3 - j)-bit windows at offsets
+        # 0..j of the words' leading m + 3 bits: dropping a leading bit moves
+        # those at 0..j-1 to 1..j, and `trailing` adds the one at offset 0
+        counts = trailing = np.bincount(lead, minlength=1 << (m + 3))
+        for _ in range(3):
+            half = counts.size // 2
+            trailing = _marginal(trailing)
+            counts = counts[:half] + counts[half:] + trailing
     # the word at bit 4 groups, which holds the n % 4 windows left
     last = int((odd if groups % 2 else even)[groups // 2])
     for offset in range(n % 4):

@@ -674,6 +674,13 @@ class TestSequenceTable:
         (8, 25, 2),
         (10, 31, 1),
         (11, 34, 1),
+        # per = 3, one walk iteration a round; the last group holds
+        # k + b - 2g updates: 2-3, 3-4, 4-5, 4-5 and 6-7
+        (4, 10, 4),
+        (4, 13, 5),
+        (4, 14, 5),
+        (3, 14, 5),
+        (2, 24, 9),
     ]
 
     @pytest.mark.parametrize("n_bits, k, g", LAYOUTS)

@@ -10,6 +10,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -236,6 +237,18 @@ class TestSharedWork:
         streams += [np.ones(m + 37, dtype=np.uint8), np.zeros(m + 37, dtype=np.uint8)]
         for arr in streams:
             assert stats._pattern_counts(packed(arr), m).tolist() == window_counts(arr.tolist(), m)
+
+    def test_wide_windows_on_a_short_stream_stay_small(self):
+        # a histogram of 2^(m + 3) bins would be 128 MiB here; 2^m bins are 8 MiB
+        stream = packed(np.random.default_rng(20).integers(0, 2, 300, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            counts = stats._pattern_counts(stream, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.size == 1 << 20 and counts.sum() == 300
+        assert peak < 16 << 20, peak
 
     @given(ragged_streams, st.integers(1, 20))
     def test_pattern_counts_on_ragged_streams(self, bits, m):
