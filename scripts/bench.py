@@ -39,9 +39,10 @@ The layers:
 * `verify`: the chaos check `is_strongly_connected` on a built graph of the
   negation at N=12, the variant of its 16 seeded paired edits, the Gray-code
   path at N=16 (balanced, 2^N - 1 reachability levels deep) and seeded
-  random images at N=12 and 16 (not balanced), and the command
-  `ciprng verify --porcelain` on that Gray path and on the N=12 random
-  images;
+  random images at N=12 and 16 (not balanced); `mapping_matrix`,
+  `is_balanced` and `balance_rule_check` of the variants at N=12 and 16;
+  and the command `ciprng verify --porcelain` on that Gray path and on the
+  N=12 random images;
 * `search`: the paired-edit search `search_functions` at N=4, depth 8, with
   and without `require_chaos`, and at N=5, depth 3, each counted to its end.
 
@@ -99,6 +100,7 @@ SEARCH = "search --n-bits 4 --max-mutations 8 --require-chaos"
 ACCEPTANCE_07 = "acceptance 07"
 VERIFY_CALLS = ("negation(12)", "variant(12)", "gray_path(16)", "random(12)", "random(16)")
 VERIFY_FILES = ("gray_path(16)", "random(12)")
+BALANCE_CHECKS = ("mapping_matrix", "is_balanced", "balance_rule_check")
 # entry -> (n_bits, max_mutations, require_chaos)
 SEARCH_ARGS = {
     "search_functions(4, 8)": (4, 8, False),
@@ -131,6 +133,7 @@ ENTRIES = {
     ),
     "e2e": (GEN, GEN_TEST, SEARCH, ACCEPTANCE_07, GEN_16M, GRAPH_16),
     "verify": tuple(f"is_strongly_connected({f})" for f in VERIFY_CALLS)
+    + tuple(f"{check}(variant({n}))" for check in BALANCE_CHECKS for n in (12, 16))
     + tuple(f"ciprng verify --porcelain {f}" for f in VERIFY_FILES),
     "search": tuple(SEARCH_ARGS),
 }
@@ -185,11 +188,13 @@ HEADERS = {
     },
     "verify": {
         "what": (
-            "The chaos check: `is_strongly_connected` on the built iteration graph of each function, "
-            "and `python -m ciprng verify --porcelain` on its function file.  `variant(12)` is the "
-            "N=12 negation after 16 seeded paired edits; `gray_path(16)` is the balanced function "
+            "The verify checks, each call entry `<check>(<function>)`: the chaos check "
+            "`is_strongly_connected` on the function's built iteration graph, and the func checks "
+            "`mapping_matrix`, `is_balanced` and `balance_rule_check` on the function itself; and "
+            "`python -m ciprng verify --porcelain` on its function file.  `variant(n)` is the "
+            "N=n negation after 16 seeded paired edits; `gray_path(16)` is the balanced function "
             "whose graph, loops aside, is the Gray-code Hamiltonian path; `random(n)` has "
-            "random.Random(seed + n) images." + METHOD
+            "random.Random(seed + n) images.  Older runs lack the func checks." + METHOD
         ),
         "seed": VERIFY_SEED,
         "repeats": REPEATS,
@@ -344,18 +349,22 @@ def verify_images(name: str) -> tuple[int, list[int]]:
 
 
 def verify_call(name: str, tmp: Path):
-    """The call of a `verify` entry: the chaos check on a graph built beforehand."""
+    """The call of a `verify` entry `<check>(<function>)`: the chaos check on
+    a graph built beforehand, or the func check of that name on the function."""
     from ciprng import func, graph
 
-    spec = name[len("is_strongly_connected("):-1]
-    if spec == "negation(12)":
-        f = func.negation(12)
-    elif spec == "variant(12)":
-        f = variant(12)
+    check, spec = name[:-1].split("(", 1)
+    kind, n_bits = spec.rstrip(")").split("(")
+    if kind == "negation":
+        f = func.negation(int(n_bits))
+    elif kind == "variant":
+        f = variant(int(n_bits))
     else:
         f = func.VectorOfImages(*verify_images(spec))
-    g = graph.build_graph(f)
-    return lambda: graph.is_strongly_connected(g)
+    if check == "is_strongly_connected":
+        g = graph.build_graph(f)
+        return lambda: graph.is_strongly_connected(g)
+    return functools.partial(getattr(func, check), f)
 
 
 def search_call(name: str, tmp: Path):

@@ -7,15 +7,18 @@ coordinate at a time.  Xorshift64 also gives arrays of draws, for the
 generator's bulk blocks; an array draw of n values equals n single
 draws and leaves the source where they would.
 
-Words are built in lock-step lanes.  Every 64th word, an anchor, comes
-from one gather over a cached table of the columns of M^(64 j), M being
-the step's matrix over GF(2) (see Xorshift64._anchors); the xorshift
-step itself then moves all anchors on at once, one row of the block of
-64 words each lane holds at a time (see Xorshift64._lanes).  bits() and
-coordinates at N = 2, 4, 8 and 16 skip the words: one byte-sliced pass
-over the stacked matrices of the low bit planes gives those planes of
-the 64 words after each anchor (see Xorshift64._low_bits).  The anchor
-table and the plane matrices are built once, from one walk of the step
+Every array draw starts from anchors, every 64th word, which come from
+one gather over a cached table of the columns of M^(64 j), M being the
+step's matrix over GF(2); the same call leaves the source at the draw's
+last word, one gather over the rows M^b e_i of the step's walk on from
+the last anchor (see Xorshift64._anchors), and nothing else moves it.
+Words are built in lock-step lanes: the xorshift step itself moves all
+anchors on at once, one row of the block of 64 words each lane holds at
+a time (see Xorshift64._lanes).  bits() and coordinates at N = 2, 4, 8
+and 16 skip the words: one byte-sliced pass over the stacked matrices
+of the low bit planes gives those planes of the 64 words after each
+anchor (see Xorshift64._low_bits).  The anchor table, the plane
+matrices and the walk's rows are built once, from one walk of the step
 (see _tables).  Coordinates, at most 16, come as uint8 at every width.
 """
 
@@ -138,10 +141,19 @@ class Xorshift64(EntropySource):
         bits i of a: one gather of the anchor table's rows (see _tables)
         at a's bits and one XOR reduction give a chunk of up to
         _ANCHOR_CHUNK anchors, and entry _ANCHOR_CHUNK gives the next
-        chunk's first.  The source is left at the last anchor.
+        chunk's first.
+
+        This is the one place an array draw moves the source.  It is
+        left at word count - 1, where count single draws leave it: that
+        word is M^b applied to the last anchor, b = (count - 1) mod 64,
+        one gather of step row b (see _tables) at the anchor's bits and
+        one XOR reduction.  A count of 0 gives an empty array and steps
+        nothing.
         """
         anchors = np.empty(-(-count // 64), dtype=np.uint64)
-        table = _tables()[0]
+        if not count:
+            return anchors
+        table, _, steps = _tables()
         units = np.uint64(1) << np.arange(64, dtype=np.uint64)
         first = self.next_word()
         for start in range(0, anchors.size, _ANCHOR_CHUNK):
@@ -150,18 +162,18 @@ class Xorshift64(EntropySource):
             chunk = np.bitwise_xor.reduce(rows, axis=0)
             anchors[start : start + take] = chunk[:take]
             first = int(chunk[take])
-        self.state = int(anchors[-1])
+        rows = steps[(count - 1) % 64, (units & anchors[-1]) != 0]
+        self.state = int(np.bitwise_xor.reduce(rows))
         return anchors
 
     def _lanes(self, count: int) -> np.ndarray:
         """The next `count` words as a (rows, lanes) uint64 block.
 
         Entry [j, l] is word 64 l + j; lane l starts at anchor l (see
-        _anchors), and each later row is the xorshift step applied to
-        the row before, all lanes at once.  rows is min(count, 64), so a
-        call of fewer than 64 words steps count - 1 times; the last lane
-        may run past word count - 1.  The source is left at word
-        count - 1, where count single draws leave it.
+        _anchors, which also places the source), and each later row is
+        the xorshift step applied to the row before, all lanes at once.
+        rows is min(count, 64), so a call of fewer than 64 words steps
+        count - 1 times; the last lane may run past word count - 1.
 
         The up to 63 row steps are about 380 numpy calls, a fixed cost of
         0.15-0.3 ms whatever the count, which short calls feel: against a
@@ -170,31 +182,22 @@ class Xorshift64(EntropySource):
         0.41 ms, while coordinates(101000, 12) took 1.9 ms against 4.6 ms
         (2-core Xeon, min of 15 calls, one session).
         """
-        if not count:
-            return np.zeros((0, 0), dtype=np.uint64)
         anchors = self._anchors(count)
         block = np.empty((min(count, 64), anchors.size), dtype=np.uint64)
-        block[0] = anchors
+        block[:1] = anchors  # [:1], not [0]: a draw of 0 words has no row
         _step_rows(block)
-        self.state = int(block[(count - 1) % 64, -1])
         return block
 
     def _low_bits(self, count: int, planes: int) -> np.ndarray:
         """The low `planes` bits of each of the next `count` words, as uint8.
 
-        Only the anchors are computed (see _anchors).  Plane p's matrix
-        maps an anchor to one word whose bit b is bit p of the word b
-        steps on, so one byte-sliced pass over the stacked matrices of
-        every plane gives 64 words' bits of each.  The state is then
-        stepped from the last anchor to word count - 1, where count
-        single draws leave it.
+        Only the anchors are computed (see _anchors, which also places
+        the source).  Plane p's matrix maps an anchor to one word whose
+        bit b is bit p of the word b steps on, so one byte-sliced pass
+        over the stacked matrices of every plane gives 64 words' bits of
+        each.
         """
-        if not count:
-            return np.zeros(0, dtype=np.uint8)
-        anchors = self._anchors(count)
-        for _ in range((count - 1) % 64):
-            self.next_word()
-        images = _jump(_tables()[1][:planes], anchors)
+        images = _jump(_tables()[1][:planes], self._anchors(count))
         bits = np.unpackbits(images.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")
         low = bits[0, :count]
         for p in range(1, planes):
@@ -214,9 +217,9 @@ def _count(count: int) -> int:
 def _step_rows(block: np.ndarray) -> None:
     """Fill block[1:] in place, each row the xorshift step of the row before.
 
-    block[0] is given; each word of a row moves alone.
+    block[0] is given, if block has a row; each word of a row moves alone.
     """
-    step = np.empty_like(block[0])
+    step = np.empty(block.shape[1:], dtype=block.dtype)
     left, right, last = _SHIFTS
     for prev, row in zip(block, block[1:]):
         np.left_shift(prev, left, out=step)
@@ -228,27 +231,31 @@ def _step_rows(block: np.ndarray) -> None:
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """The anchor table and the plane tables, read-only, from one walk of the step.
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The anchor table, the plane tables and the step rows, read-only,
+    from one walk of the step.
 
     The anchor table is (64, _ANCHOR_CHUNK + 1) uint64: entry [i, j] is
     M^(64 j) e_i, the unit word e_i = 2^i stepped 64 j times, so column j
     holds the 64 columns of M^(64 j).  The plane tables are the matrices
     of planes 0 to _MAX_PLANES - 1, byte-sliced as _byte_tables makes
     them: plane p's matrix maps a word w to the word whose bit b is bit
-    p of M^b w, b in [0, 64).
+    p of M^b w, b in [0, 64).  The step rows are (64, 64) uint64: entry
+    [b, i] is M^b e_i, so row b holds the 64 columns of M^b.
 
     The 64 unit words are stepped 64 times, so row b of the walk holds
-    M^b e_i: rows 0-63 give the plane tables, and rows 0 and 64 anchor
-    columns 0 and 1.  Once columns 0..d are known, the matrix of column d,
-    M^(64 d), carries columns 1..d to d+1..2d.
+    M^b e_i: rows 0-63 are the step rows and give the plane tables, and
+    rows 0 and 64 anchor columns 0 and 1.  Once columns 0..d are known,
+    the matrix of column d, M^(64 d), carries columns 1..d to d+1..2d.
     """
     walk = np.empty((65, 64), dtype=np.uint64)
     walk[0] = np.uint64(1) << np.arange(64, dtype=np.uint64)
     _step_rows(walk)
+    steps = walk[:64]
+    steps.flags.writeable = False
     planes = np.arange(_MAX_PLANES, dtype=np.uint64)[:, None, None]
     # bits[p, b, i] = bit p of M^b e_i; packing b gives column i of plane p
-    bits = ((walk[:64] >> planes) & np.uint64(1)).astype(np.uint8)
+    bits = ((steps >> planes) & np.uint64(1)).astype(np.uint8)
     packed = np.packbits(bits, axis=1, bitorder="little").transpose(0, 2, 1)
     plane_tables = _byte_tables(np.ascontiguousarray(packed).view("<u8")[..., 0])
 
@@ -261,7 +268,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
         d += take
     anchor_table = np.ascontiguousarray(columns.T)
     anchor_table.flags.writeable = False
-    return anchor_table, plane_tables
+    return anchor_table, plane_tables, steps
 
 
 def _byte_tables(columns: np.ndarray) -> np.ndarray:

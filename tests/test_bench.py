@@ -97,6 +97,7 @@ def test_a_child_peak_rss_at_the_harness_own_is_refused(tmp_path):
         ("battery", "frequency"),
         ("battery", bench.RAGGED_BATTERY),
         ("verify", "is_strongly_connected(random(12))"),
+        ("verify", "is_balanced(variant(16))"),
         ("search", "search_functions(4, 8, require_chaos=True)"),
     ],
 )

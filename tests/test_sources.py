@@ -273,6 +273,27 @@ def test_anchor_gather_makes_no_walk(monkeypatch):
     assert counts == [1, 1]
 
 
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4095, 70000])
+@pytest.mark.parametrize("draw", ["words", "bits", "coordinates(4)", "coordinates(12)"])
+def test_an_array_draw_steps_one_single_word(monkeypatch, draw, count):
+    # the first anchor is the one word stepped singly; the source reaches
+    # the draw's last word by a jump, whatever count mod 64 is
+    steps = []
+    next_word = sources.Xorshift64.next_word
+
+    def counted(self):
+        steps.append(self.state)
+        return next_word(self)
+
+    monkeypatch.setattr(sources.Xorshift64, "next_word", counted)
+    x = sources.Xorshift64(0xACE)
+    method, _, n_bits = draw.rstrip(")").partition("(")
+    getattr(x, method)(count, *([int(n_bits)] if n_bits else []))
+    assert len(steps) == min(count, 1)
+    if not count:
+        assert x.state == 0xACE
+
+
 # widths read from bit planes, and widths read from whole words in lanes
 # (which TestXorshift64Arrays checks against single draws)
 PLANE_WIDTHS = (2, 4, 8, 16)
@@ -301,12 +322,16 @@ class TestPlaneDraws:
         assert bits.dtype == np.uint8
         assert np.array_equal(bits, (words & np.uint64(1)).astype(np.uint8))
         assert x.state == ref.state
+        # words[-1] comes from the lanes' row steps, not from the jump
+        # that places both sources
+        assert not count or x.state == int(words[-1])
         for n_bits in PLANE_WIDTHS + WORD_WIDTHS:
             x = sources.Xorshift64(0x5EED)
             coords = x.coordinates(count, n_bits)
             assert coords.dtype == np.uint8
             assert np.array_equal(coords, from_words(words, n_bits)), n_bits
             assert x.state == ref.state, n_bits
+            assert not count or x.state == int(words[-1]), n_bits
 
     def test_consecutive_calls_continue_the_stream(self):
         ref, x = sources.Xorshift64(2024), sources.Xorshift64(2024)
@@ -320,6 +345,7 @@ class TestPlaneDraws:
             else:
                 assert np.array_equal(x.bits(count), (words & np.uint64(1)).astype(np.uint8))
             assert x.state == ref.state, (count, n_bits)
+            assert not count or x.state == int(words[-1]), (count, n_bits)
 
     @settings(max_examples=60)
     @given(
@@ -336,6 +362,7 @@ class TestPlaneDraws:
             else:
                 assert np.array_equal(x.coordinates(count, n_bits), from_words(words, n_bits))
             assert x.state == ref.state
+            assert not count or x.state == int(words[-1])
 
 
 class TestScriptedSource:
