@@ -22,7 +22,9 @@ The layers:
   their build;
 * `kernel`: `states()` of a fresh generator for 4096 bytes of output at
   k = 3N + 1, N = 4, 12 and 16, on the negation and on a variant made by 16
-  seeded paired edits (4 at N=4); the N=16 function's set-up (negation,
+  seeded paired edits (4 at N=4); the streams of as many bytes, rounds
+  formatted as text, at N=4 on that variant (`byte_stream`, `bit_stream`)
+  and at N=16 on the negation (`byte_stream`); the N=16 function's set-up (negation,
   the 16 edits, parsing its file text); `state_bits` of 2^21 N=4 states,
   and `pack_bits` and `bits_to_str` of its bits;
 * `battery`: each of the seven tests, `run_battery` and `read_stream` in
@@ -115,6 +117,7 @@ ENTRIES = {
     )
     + (f"bits(4096){TABLES_COLD}",),
     "kernel": tuple(f"states(N={n}, {kind})" for n in (4, 12, 16) for kind in ("negation", "variant"))
+    + ("byte_stream(N=4, variant)", "bit_stream(N=4, variant)", "byte_stream(N=16, negation)")
     + ("parse_function(N=16)", "negation(16)", "mutate_pair x16 (N=16)", STATE_BITS_CALL)
     + tuple(f"{pack}({STATE_BITS_CALL})" for pack in ("pack_bits", "bits_to_str")),
     "battery": (
@@ -159,7 +162,9 @@ HEADERS = {
     "kernel": {
         "what": (
             "The update kernel: `states(N=n, f)` is a fresh generator's states() for `wide_bytes` bytes of output at "
-            "k = 3N + 1; the variant is the negation after 16 seeded paired edits (4 at N=4).  "
+            "k = 3N + 1; the variant is the negation after 16 seeded paired edits (4 at N=4).  `byte_stream(N=n, f)` "
+            "and `bit_stream(N=n, f)` are that generator's streams of the same rounds, as `wide_bytes` bytes and as "
+            "text.  Older runs lack the stream entries.  "
             "`pack_bits` and `bits_to_str` take the bits that the `state_bits` entry gives.  "
             "Older runs record `peak_mib` of the state_bits call only." + METHOD
         ),
@@ -383,17 +388,19 @@ def kernel_call(name: str, tmp: Path):
     from ciprng.generator import CiGenerator, GeneratorConfig
     from ciprng.sources import Xorshift64
 
-    def states(f):
+    def output(method, f):
         n = f.n_bits
         config = GeneratorConfig(f, k=3 * n + 1, seed_state=KERNEL_SEED % f.size)
-        return CiGenerator(config, Xorshift64(0x5EED), Xorshift64(0xC0FFEE)).states(-(-8 * WIDE_BYTES // n))
+        gen = CiGenerator(config, Xorshift64(0x5EED), Xorshift64(0xC0FFEE))
+        return gen.byte_stream(WIDE_BYTES) if method == "byte_stream" else getattr(gen, method)(-(-8 * WIDE_BYTES // n))
 
     # only the entry's own inputs are built, so that no other entry's
     # functions sit in the process while it is timed
-    if name.startswith("states"):
-        n, kind = name[len("states(N="):-1].split(", ")
+    if name.startswith(("states", "byte_stream", "bit_stream")):
+        method, spec = name[:-1].split("(N=")
+        n, kind = spec.split(", ")
         f = func.negation(int(n)) if kind == "negation" else variant(int(n))
-        return lambda: states(f)
+        return lambda: output(method, f)
     if name == "parse_function(N=16)":
         text = func.format_function(variant(16))
         return lambda: func.parse_function(text)

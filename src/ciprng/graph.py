@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import bitops
 from .func import VectorOfImages, mapping_matrix
 
 
@@ -187,9 +188,7 @@ def dot_bytes(g: IterationGraph) -> np.ndarray:
     into their columns.
     """
     n = g.n_bits
-    # '0'/'1' codes of every vertex's n digits, most significant first
-    names = ((np.arange(g.n_vertices)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    names += ord("0")
+    names = bitops.state_codes(n)  # every vertex's n digits, most significant first
     blank = "0" * n
     # a tail's column follows '  "', a head's '  "<tail>" -> "'; a column
     # holds the names of the vertices given, or with None of the vertex itself

@@ -154,7 +154,7 @@ class Xorshift64(EntropySource):
         if not count:
             return anchors
         table, _, steps = _tables()
-        units = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        units = steps[0]  # M^0 e_i: the unit words 2^i
         first = self.next_word()
         for start in range(0, anchors.size, _ANCHOR_CHUNK):
             take = min(_ANCHOR_CHUNK, anchors.size - start)

@@ -173,7 +173,8 @@ class TestGenPieces:
     # rounds a block holds under the patched budget: 43 gives pieces of 40
     # rounds; 3, and 0 (one round exceeds the budget, so round() runs), 8
     @pytest.mark.parametrize("block, piece", [(43, 40), (3, 8), (0, 8)])
-    @pytest.mark.parametrize("n_bits", [3, 5, 12, 16])
+    # 2, 8 and 16 pack their states into bytes directly, the others by bits
+    @pytest.mark.parametrize("n_bits", [2, 3, 5, 8, 12, 16])
     def test_pieces_equal_one_call(self, monkeypatch, tmp_path, capsysbinary, n_bits, block, piece):
         k = 3 * n_bits + 1
         monkeypatch.setattr(generator, "_BLOCK_UPDATES", block * (k + 1))

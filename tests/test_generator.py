@@ -836,6 +836,23 @@ class TestFlipEngine:
         assert list(combined) == [loop.round() for _ in range(sum(chunks))]
         TestFastPath.assert_same_end(bulk, loop)
 
+    @pytest.mark.parametrize("blocks", ["budget", "one round"])
+    @pytest.mark.parametrize("k", ["1", "3N+1"])
+    @pytest.mark.parametrize("n_bits", range(2, func.MAX_TABLE_BITS + 1))
+    def test_negation_reduction_at_its_edges(self, monkeypatch, n_bits, k, blocks):
+        # the negation XORs each round's masks in one reduction: at k = 1
+        # its rounds hold one or two masks, and a budget of k + 1 updates
+        # makes every block one round, whose running XOR is that round's
+        k = 1 if k == "1" else 3 * n_bits + 1
+        if blocks == "one round":
+            monkeypatch.setattr(generator, "_BLOCK_UPDATES", k + 1)
+        bulk, loop = TestFastPath.make_pair(func.negation(n_bits).images, n_bits, k=k, seed_state=(1 << n_bits) - 2)
+        assert bulk.path == "flips" and not bulk._held
+        sizes = engine_blocks(bulk)
+        assert list(bulk.states(300)) == [loop.round() for _ in range(300)]
+        assert sizes == ([1] * 300 if blocks == "one round" else [300])
+        TestFastPath.assert_same_end(bulk, loop)
+
     @pytest.mark.parametrize("where", ["first, then last", "last, first, last"])
     def test_held_at_window_edges_over_chunked_calls(self, where):
         # After a held update at p the next window is [p + 1, p + 1 + W):
@@ -971,3 +988,47 @@ class TestFlipEngine:
         flips, scalar = peak(generator._FLIP_RATE), peak(-1.0)
         assert (flips[0], scalar[0]) == ("flips", "scalar")
         assert flips[1] <= scalar[1]
+
+
+class SingleDraws(Xorshift64):
+    """Xorshift64 under another type: a generator over it takes the "round" path."""
+
+
+def stream_pair(n_bits, path):
+    """Two equal fresh generators on `path`: the negation runs "flips", a
+    dense f the others.  "scalar" at a width that walks the group table
+    needs _GROUP_ENTRIES patched to 0 beforehand."""
+    f = func.negation(n_bits) if path == "flips" else dense(n_bits)
+    source = SingleDraws if path == "round" else Xorshift64
+
+    def make():
+        config = GeneratorConfig(f, k=3 * n_bits + 1, seed_state=n_bits)
+        return CiGenerator(config, source(314159), source(271828))
+
+    return make(), make()
+
+
+class TestStreamOutput:
+    """byte_stream and bit_stream equal bitops.pack_bits and bits_to_str of
+    bitops.state_bits over states(), the code they run only at other
+    widths, on every path and over calls in a row."""
+
+    @pytest.mark.parametrize(
+        "n_bits, path",
+        [(n, path) for n in (2, 3, 4, 5, 8, 12, 16) for path in ("flips", "composed", "scalar", "round")
+         if path != "composed" or composed(n)],
+    )
+    def test_streams_equal_expanded_states(self, monkeypatch, n_bits, path):
+        if path == "scalar":
+            monkeypatch.setattr(generator, "_GROUP_ENTRIES", 0)
+        gen, ref = stream_pair(n_bits, path)
+        assert gen.path == path
+        # odd counts at N=16 end in half a state, which the stream drops
+        for n_bytes in (1, 3, 64, 1001, 2):
+            bits = bitops.state_bits(ref.states(-(-8 * n_bytes // n_bits)), n_bits)
+            assert gen.byte_stream(n_bytes) == bitops.pack_bits(bits[: 8 * n_bytes]), n_bytes
+        for n_rounds, seed in ((1, True), (7, False), (300, True)):
+            head = np.array([ref.x] * seed, dtype=np.int64)
+            bits = bitops.state_bits(np.concatenate([head, ref.states(n_rounds)]), n_bits)
+            assert gen.bit_stream(n_rounds, include_seed=seed) == bitops.bits_to_str(bits), n_rounds
+        TestFastPath.assert_same_end(gen, ref)
