@@ -23,8 +23,9 @@ The layers:
 * `kernel`: `states()` of a fresh generator for 4096 bytes of output at
   k = 3N + 1, N = 4, 12 and 16, on the negation and on a variant made by 16
   seeded paired edits (4 at N=4); the streams of as many bytes, rounds
-  formatted as text, at N=4 on that variant (`byte_stream`, `bit_stream`)
-  and at N=16 on the negation (`byte_stream`); the N=16 function's set-up (negation,
+  formatted as text, at N=4 on that variant (`byte_stream`, `bit_stream`),
+  at N=12 on its variant (`byte_stream`) and at N=16 on the negation
+  (`byte_stream`, `bit_stream`); the N=16 function's set-up (negation,
   the 16 edits, parsing its file text); `state_bits` of 2^21 N=4 states,
   and `pack_bits` and `bits_to_str` of its bits;
 * `battery`: each of the seven tests, `run_battery` and `read_stream` in
@@ -118,6 +119,7 @@ ENTRIES = {
     + (f"bits(4096){TABLES_COLD}",),
     "kernel": tuple(f"states(N={n}, {kind})" for n in (4, 12, 16) for kind in ("negation", "variant"))
     + ("byte_stream(N=4, variant)", "bit_stream(N=4, variant)", "byte_stream(N=16, negation)")
+    + ("bit_stream(N=16, negation)", "byte_stream(N=12, variant)")
     + ("parse_function(N=16)", "negation(16)", "mutate_pair x16 (N=16)", STATE_BITS_CALL)
     + tuple(f"{pack}({STATE_BITS_CALL})" for pack in ("pack_bits", "bits_to_str")),
     "battery": (
@@ -164,7 +166,8 @@ HEADERS = {
             "The update kernel: `states(N=n, f)` is a fresh generator's states() for `wide_bytes` bytes of output at "
             "k = 3N + 1; the variant is the negation after 16 seeded paired edits (4 at N=4).  `byte_stream(N=n, f)` "
             "and `bit_stream(N=n, f)` are that generator's streams of the same rounds, as `wide_bytes` bytes and as "
-            "text.  Older runs lack the stream entries.  "
+            "text.  Older runs lack the stream entries, and those before `one digit table` the N=16 `bit_stream` and "
+            "N=12 `byte_stream`.  "
             "`pack_bits` and `bits_to_str` take the bits that the `state_bits` entry gives.  "
             "Older runs record `peak_mib` of the state_bits call only." + METHOD
         ),

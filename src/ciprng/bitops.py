@@ -57,43 +57,33 @@ def unpack_bits(data: bytes) -> np.ndarray:
 def state_bits(states, n_bits: int) -> np.ndarray:
     """Concatenated big-endian n_bits-wide bit patterns of the given states.
 
-    Each state's low n_bits, shifted to the top of the narrowest
-    big-endian word of 1, 2, 4 or 8 bytes that holds them, unpacked
-    MSB-first: one byte per output bit, and a word per state besides.
-    The generator's streams expand their states this way only at the
-    widths they do not pack directly (byte_stream at N other than 2, 4,
-    8 and 16) or gather from `state_codes` (bit_stream at N > 8).
+    One uint8 0/1 per bit: each state's low n_bits (a larger or negative
+    state keeps just those, as in two's complement) pick its row of
+    `state_codes`, less '0', so n_bits is 1 to 16 as there.  On the way
+    it holds one int64 index per state besides.  `CiGenerator.byte_stream`
+    packs these bits.
     """
-    arr = np.asarray(states, dtype=np.int64)
-    size = 1 << max(0, (n_bits - 1).bit_length() - 3)  # bytes per word
-    words = arr.astype(f">u{size}")  # keeps the low 8 * size bits, as the shifts do
-    if n_bits == 8 * size:
-        return np.unpackbits(words.view(np.uint8))
-    words <<= 8 * size - n_bits
-    return np.unpackbits(words.view(np.uint8).reshape(-1, size), axis=1, count=n_bits).ravel()
-
-
-def state_codes(n_bits: int) -> np.ndarray:
-    """(2^n_bits, n_bits) uint8 array whose row x holds the ASCII '0'/'1'
-    digits of state x, most significant first.
-
-    Widths up to 8 come read-only from a cache, which holds one table per
-    width asked for, at most 3586 bytes for all of widths 1-8: building
-    one took 5-10 us, as long as gathering 4096 bytes of stream from it
-    (2-core Xeon, min of 40 calls).  A wider table (1 MiB at 16) is built
-    afresh on each call, for the DOT export, which reads it once.
-    """
-    return _cached_state_codes(n_bits) if n_bits <= 8 else _build_state_codes(n_bits)
-
-
-def _build_state_codes(n_bits: int) -> np.ndarray:
-    codes = ((np.arange(1 << n_bits)[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1).astype(np.uint8)
-    codes += ord("0")
-    return codes
+    index = np.asarray(states, dtype=np.int64) & ((1 << n_bits) - 1)
+    bits = state_codes(n_bits).take(index, axis=0)
+    bits -= ord("0")
+    return bits.ravel()
 
 
 @functools.cache
-def _cached_state_codes(n_bits: int) -> np.ndarray:
-    codes = _build_state_codes(n_bits)
+def state_codes(n_bits: int) -> np.ndarray:
+    """(2^n_bits, n_bits) uint8 array whose row x holds the ASCII '0'/'1'
+    digits of state x, most significant first; widths 1 to 16.
+
+    Read-only and cached, one table per width asked for (1 MiB at 16,
+    1.9 MiB for all of widths 1-16): `state_bits`,
+    `CiGenerator.bit_stream` and the DOT export read it.  It is unpacked
+    from big-endian uint16 words x << (16 - n_bits), so nothing built on
+    the way is larger than the table.
+    """
+    if not 1 <= n_bits <= 16:
+        raise ValueError(f"n_bits must be in [1, 16], got {n_bits}")
+    words = np.arange(0, 1 << 16, 1 << (16 - n_bits), dtype=">u2")
+    codes = np.unpackbits(words.view(np.uint8).reshape(-1, 2), axis=1, count=n_bits)
+    codes += ord("0")
     codes.flags.writeable = False
     return codes

@@ -41,6 +41,17 @@ def interpret_updates(images, n_bits, x0, strategy):
     return trace
 
 
+def state_text(states, n_bits):
+    """The states' n_bits-wide big-endian digits as '0'/'1' text, one
+    `format` call per state."""
+    return "".join(format(x, f"0{n_bits}b") for x in states)
+
+
+def packed_text(text):
+    """'0'/'1' text of whole bytes packed MSB-first, one `int(..., 2)` per byte."""
+    return bytes(int(text[i : i + 8], 2) for i in range(0, len(text), 8))
+
+
 def first_repeat(images, n_bits):
     """Balance witness by definition: the first single-coordinate row, p
     in [1, N], whose successors of q = 0, 1, ... meet a state twice, with

@@ -95,6 +95,7 @@ def test_a_child_peak_rss_at_the_harness_own_is_refused(tmp_path):
         ("draws", "words(407)"),
         ("kernel", "negation(16)"),
         ("kernel", "bit_stream(N=4, variant)"),
+        ("kernel", "byte_stream(N=12, variant)"),
         ("battery", "frequency"),
         ("battery", bench.RAGGED_BATTERY),
         ("verify", "is_strongly_connected(random(12))"),

@@ -98,9 +98,15 @@ class TestStateBits:
 
     @pytest.mark.parametrize("n_bits", range(2, 17))
     def test_matches_shift_formula(self, n_bits):
-        # the formula state_bits had: one int64 shift per state and digit
+        # the formula state_bits had: one int64 shift per state and digit,
+        # which reads the low n_bits of a larger or a negative state
         rng = np.random.default_rng(n_bits)
-        states = np.concatenate([rng.integers(0, 1 << n_bits, 1000), [0, (1 << n_bits) - 1]])
+        states = np.concatenate([
+            rng.integers(0, 1 << n_bits, 1000),
+            [0, (1 << n_bits) - 1],
+            rng.integers(-(2**40), 2**40, 100),
+            [1 << n_bits, -1, -(1 << n_bits), -(2**63), 2**63 - 1],
+        ])
         shifts = np.arange(n_bits - 1, -1, -1, dtype=np.int64)
         for given_states in (states, states.tolist(), states[:0], []):
             arr = np.asarray(given_states, dtype=np.int64)
@@ -108,3 +114,30 @@ class TestStateBits:
             got = bitops.state_bits(given_states, n_bits)
             assert got.dtype == np.uint8 and got.shape == expected.shape
             assert np.array_equal(got, expected)
+
+
+class TestStateCodes:
+    @pytest.mark.parametrize("n_bits", range(1, 17))
+    def test_rows_equal_format_builtin(self, n_bits):
+        codes = bitops.state_codes(n_bits)
+        assert codes.dtype == np.uint8 and codes.shape == (1 << n_bits, n_bits)
+        rows = range(1 << n_bits)
+        if n_bits > 12:
+            rows = np.random.default_rng(n_bits).integers(0, 1 << n_bits, 1000).tolist()
+        for x in rows:
+            assert codes[x].tobytes() == format(x, f"0{n_bits}b").encode("ascii"), x
+
+    @pytest.mark.parametrize("n_bits", [1, 8, 16])
+    def test_cached_read_only(self, n_bits):
+        codes = bitops.state_codes(n_bits)
+        assert bitops.state_codes(n_bits) is codes
+        assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[0, 0] = ord("1")
+
+    @pytest.mark.parametrize("n_bits", [0, 17])
+    def test_rejects_widths_outside_1_to_16(self, n_bits):
+        with pytest.raises(ValueError, match="n_bits"):
+            bitops.state_codes(n_bits)
+        with pytest.raises(ValueError, match="n_bits"):
+            bitops.state_bits([0], n_bits)
