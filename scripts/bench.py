@@ -31,8 +31,9 @@ The layers:
 * `battery`: each of the seven tests, `run_battery` and `read_stream` in
   both formats on one seeded 10^6-bit stream; `run_battery` on a seeded
   stream of 1,000,003 bits, whose last packed word and window count's
-  wrap-around end mid-byte; and the command `ciprng test` on the 10^6-bit
-  stream's raw bytes;
+  wrap-around end mid-byte; cumulative sums on 10^6 alternating bits,
+  whose partial sums leave no word of the stream unopened; and the command
+  `ciprng test` on the 10^6-bit stream's raw bytes;
 * `e2e`: the north star's end-to-end commands: `gen` of 1 MiB at N=4; `gen`
   of 10^6 bits then `test` on its file; `search` at N=4, depth 8, with
   chaos; acceptance test 07, run by pytest in the tree's root, so that the
@@ -81,6 +82,7 @@ ROUNDS = 5
 BITS = 1_000_000
 RAGGED_BITS = 1_000_003
 RAGGED_BATTERY = f"run_battery({RAGGED_BITS} bits)"
+FLAT_CUSUM = "cumulative-sums(alternating)"
 BATTERY_SEED = 18
 DRAWS_SEED = 0x5EED
 KERNEL_SEED = 22
@@ -126,6 +128,7 @@ ENTRIES = {
         "frequency",
         "block-frequency",
         "cumulative-sums",
+        FLAT_CUSUM,
         "runs",
         "longest-run",
         "serial",
@@ -178,7 +181,9 @@ HEADERS = {
     "battery": {
         "what": (
             "The battery on one seeded stream of `bits` bits; default BatteryConfig.  The entry "
-            f"{RAGGED_BATTERY!r} runs the battery on a seeded stream of that length instead.  The command `ciprng test` is "
+            f"{RAGGED_BATTERY!r} runs the battery on a seeded stream of that length instead, and {FLAT_CUSUM!r} the "
+            "cumulative-sums test on `bits` alternating bits, whose every 64-bit word the partial-sum scan opens; most "
+            "of its time is the p-values of an excursion of 1, and older runs lack it.  The command `ciprng test` is "
             "`python -m ciprng test --stream-format raw` on that stream's packed bytes; older runs "
             "list its rounds under `test_children`." + METHOD
         ),
@@ -422,11 +427,16 @@ def kernel_call(name: str, tmp: Path):
 
 def battery_call(name: str, tmp: Path):
     """The call of a `battery` entry; `read_stream` reads a file written in `tmp`."""
+    import numpy as np
+
     from ciprng import stats
 
     if name == RAGGED_BATTERY:
         ragged = seeded_bits(RAGGED_BITS)
         return lambda: stats.run_battery(ragged)
+    if name == FLAT_CUSUM:
+        alternating = np.arange(BITS, dtype=np.uint8) % 2
+        return lambda: stats.cumulative_sums(alternating)
     bits = seeded_bits()
     if name.startswith("read_stream:"):
         fmt = name.split(":")[1]

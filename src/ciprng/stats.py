@@ -20,22 +20,27 @@ as every other term is exactly 0 in double (`_cusum_p`).
 
 `run_battery` checks the stream once and packs it once, MSB first, into
 a zero-padded buffer of whole 64-bit words (`_Packed`); every count reads
-that buffer, or one of two arrays of its words made from it once:
+that buffer, or arrays of its words made from it once:
 
 * frequency counts the ones by popcount, and runs counts the changes
   between neighbouring bits as the popcount of each 64-bit word XOR the
   word shifted left by one bit, topped up from the next word;
 * block frequency takes each block's ones as the difference of the ones
-  before its two ends: popcounts summed over whole words, plus those of a
-  word's leading bits, the same for any block size (`_block_ones`);
-* cumulative sums and longest run read one array of the buffer's 16-bit
-  words, through per-word tables: net step, highest and lowest prefix
-  for the partial-sum scan (`_cusum_excursions`); leading ones, trailing
-  ones and longest inner run for the longest run, whose blocks of 128 or
-  10^4 bits are a prefix of those words, and of the buffer's bytes for
-  blocks of 8 (`_run_tables`).  A block's longest run is its largest
-  inner run or its largest trailing-plus-leading sum over adjacent words,
-  exact once clipped to the top class, which is at most 16;
+  before its two ends: popcounts summed over whole words
+  (`_Packed.ones_before`), plus those of a word's leading bits, the same
+  for any block size (`_block_ones`);
+* cumulative sums takes the partial sums at every word's end from those
+  same summed popcounts, and opens only the words whose two end sums
+  leave room for a sum beyond the extremes among them, reading their
+  16-bit quarters through per-quarter tables of net step, highest and
+  lowest prefix (`_cusum_excursions`);
+* longest run reads an array of the buffer's 16-bit words through
+  per-word tables of leading ones, trailing ones and longest inner run:
+  its blocks of 128 or 10^4 bits are a prefix of those words, and of the
+  buffer's bytes for blocks of 8 (`_run_tables`).  A block's longest run
+  is its largest inner run or its largest trailing-plus-leading sum over
+  adjacent words, exact once clipped to the top class, which is at most
+  16;
 * serial and approximate entropy both read counts of the overlapping
   windows of the circular stream.  The battery counts once, at the wider
   of the two widths the tests need, and merges those counts down to each
@@ -81,8 +86,8 @@ from .errors import StreamTooShortError
 class _Packed:
     """A checked bit stream, packed MSB first, once, into a zero-padded
     buffer of whole 64-bit words with at least one zero bit after the
-    stream.  Every count reads this buffer, or one of the two arrays of its
-    words made from it on first use.
+    stream.  Every count reads this buffer, or arrays of its words made
+    from it on first use.
     """
 
     def __init__(self, bits: np.ndarray):
@@ -104,6 +109,14 @@ class _Packed:
     @functools.cached_property
     def ones(self) -> int:
         return int(np.bitwise_count(self.buffer.view(np.uint64)).sum())
+
+    @functools.cached_property
+    def ones_before(self) -> np.ndarray:
+        """The ones in the words64 before each of them, then in all of them:
+        a cumulative sum of popcounts, one longer than words64."""
+        before = np.zeros(self.words64.size + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(self.words64), out=before[1:])
+        return before
 
 
 def _check_length(n: int, test: str, minimum: int) -> None:
@@ -159,17 +172,15 @@ def _block_ones(stream: _Packed, size: int) -> np.ndarray:
     """Ones in each whole `size`-bit block.
 
     The ones before bit p are the ones of the 64-bit words before word
-    p // 64, a cumulative sum of popcounts, plus those of the leading
-    p % 64 bits of that word; a block's ones are the difference of that
-    count at its two ends.  Any block size reads the same words.
+    p // 64 (`_Packed.ones_before`) plus those of the leading p % 64 bits
+    of that word; a block's ones are the difference of that count at its
+    two ends.  Any block size reads the same words.
     """
     words = stream.words64
-    before_word = np.zeros(words.size + 1, dtype=np.int64)
-    np.cumsum(np.bitwise_count(words), out=before_word[1:])
     ends = np.arange(0, stream.n // size * size + 1, size, dtype=np.uint64)
     at = ends >> 6
     lead = ~(np.uint64(0xFFFF_FFFF_FFFF_FFFF) >> (ends & 63))  # the leading p % 64 bits
-    return np.diff(before_word[at] + np.bitwise_count(words[at] & lead))
+    return np.diff(stream.ones_before[at] + np.bitwise_count(words[at] & lead))
 
 
 def runs(bits) -> float:
@@ -311,38 +322,60 @@ def _cusum_ps(stream: _Packed) -> tuple[float, float]:
 def _cusum_excursions(stream: _Packed) -> tuple[int, int]:
     """Largest |partial sum| of the +-1 steps, read forward and backward.
 
-    One scan gives the forward partial sums S_1..S_n.  Read backward,
-    the partial sums are S_n - S_i for i = 0..n-1, with S_0 = 0, so their
-    largest magnitude follows from the range of S_1..S_n widened to 0.
+    Read backward, the partial sums are S_n - S_i for i = 0..n-1, with
+    S_0 = 0, so their largest magnitude follows from the range of
+    S_1..S_n widened to 0.
 
-    The scan runs over the stream's whole 16-bit words: the sum at the
-    end of each word is a cumulative sum of the words' net steps, and the
-    word's highest and lowest partial sums sit a table entry away from
-    it.  The bits of the partial word after them are summed one by one.
+    The sums at the ends of the stream's whole 64-bit words come from
+    their popcounts (`_Packed.ones_before`), and those in the partial word
+    after them bit by bit.  Inside a word that starts at sum s and ends at
+    sum e, the sum t bits in is at most s + t and at most e + 64 - t, so
+    it lies within (s + e +- 64) / 2.  Only a word whose bound passes the
+    highest or lowest of the sums already known can hold a sum beyond
+    them, and only those words are opened, a 16-bit quarter at a time,
+    through the per-quarter tables.  On random 10^6-bit streams that is 33
+    to 147 of the 15,625 words (20 seeds); on a stream as flat as
+    alternating bits it is every word, which then costs about what one
+    table pass over the whole stream costs.
     """
     net, up, down = _cusum_tables()
     n = stream.n
-    words = stream.words16[: n // 16]
-    # |S_k| <= n, so int32 holds every partial sum of a stream under 2^31 bits
-    ends = np.cumsum(net[words], dtype=np.int32 if n < 1 << 31 else np.int64)
-    last = (int(stream.words16[n // 16]) >> np.arange(15, 15 - n % 16, -1)) & 1
-    tail = (int(ends[-1]) if ends.size else 0) + np.cumsum(2 * last - 1)
-    hi = int(np.concatenate([ends + up[words], tail]).max())
-    lo = int(np.concatenate([ends + down[words], tail]).min())
-    total = int(tail[-1]) if tail.size else int(ends[-1])
-    return max(hi, -lo), max(total - min(lo, 0), max(hi, 0) - total)
+    whole = n // 64
+    # S at the start of every whole word, and at the end of the last one
+    sums = 2 * stream.ones_before[: whole + 1] - np.arange(0, 64 * whole + 1, 64)
+    last = np.unpackbits(stream.buffer[8 * whole :], count=n % 64).astype(np.int64)
+    ends = np.concatenate([sums[1:], sums[-1] + np.cumsum(2 * last - 1)])
+    top, bottom = int(ends.max()), int(ends.min())
+    pair = sums[:-1] + sums[1:]  # s + e of each whole word
+    words = np.flatnonzero((pair > 2 * top - 64) | (pair < 2 * bottom + 64))
+    # the opened words' big-endian bytes, as four 16-bit quarters each;
+    # the sums inside a word, less its start sum, lie within +-64
+    quarters = stream.buffer.view(">u8")[words].view(">u2").reshape(-1, 4)
+    inside = np.zeros(words.size, dtype=np.int8)
+    high = np.full(words.size, -64, dtype=np.int8)
+    low = np.full(words.size, 64, dtype=np.int8)
+    for k in range(4):
+        quarter = quarters[:, k].astype(np.intp)
+        inside += net.take(quarter)  # at the quarter's end
+        np.maximum(high, inside + up.take(quarter), out=high)
+        np.minimum(low, inside + down.take(quarter), out=low)
+    top = int((sums[words] + high).max(initial=top))
+    bottom = int((sums[words] + low).min(initial=bottom))
+    total = int(ends[-1])
+    return max(top, -bottom), max(total - min(bottom, 0), max(top, 0) - total)
 
 
 @functools.cache
 def _cusum_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per 16-bit word, its bits read MSB first as +-1 steps: the net step,
-    and the highest and lowest partial sum within the word less that net
-    step.  Composed from the same three numbers for each byte.
+    """Per 16-bit quarter of a 64-bit word, its bits read MSB first as +-1
+    steps: the net step, and the highest and lowest partial sum within the
+    quarter less that net step, as int8.  Composed from the same three
+    numbers for each byte.
     """
-    steps = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int32) - 1
-    sums = np.cumsum(steps, axis=1, dtype=np.int32)
+    steps = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8) - 1
+    sums = np.cumsum(steps, axis=1, dtype=np.int8)
     net8, top8, bot8 = sums[:, -1:], sums.max(axis=1, keepdims=True), sums.min(axis=1, keepdims=True)
-    # rows index the word's high byte, columns its low byte
+    # rows index the quarter's high byte, columns its low byte
     net = net8 + net8.T
     top = np.maximum(top8, net8 + top8.T)
     bot = np.minimum(bot8, net8 + bot8.T)

@@ -720,6 +720,20 @@ class TestSequenceTable:
                     images = [matrix[c][y] for y in images]
                 assert table[row] == tuple(images), sequence
 
+    @pytest.mark.parametrize("images", KNOWN_CHAOTIC_VARIANTS[:3])
+    def test_equal_rows_are_one_tuple(self, images):
+        f = func.VectorOfImages(4, images)
+        table, g, _ = generator._group_table(f, 13)
+        # the table built level by level, one new tuple per row
+        matrix = func.mapping_matrix(f).tolist()
+        level = [tuple(range(f.size))]
+        built = list(level)
+        for _ in range(g):
+            level = [tuple(row[y] for y in single) for row in level for single in matrix]
+            built += level
+        assert list(table) == built
+        assert len({id(row) for row in table}) == len(set(built)) < len(built)
+
     def test_group_length_is_at_most_k_plus_one(self):
         f = dense(3)
         assert [generator._group_table(f, k)[1] for k in (1, 2, 5, 6, 7, 100)] == [2, 3, 6, 7, 4, 7]

@@ -224,6 +224,68 @@ class TestPackedKernels:
             assert stats._pattern_counts(packed(arr), m).tolist() == window_counts(arr.tolist(), m), arr.size
 
 
+def cusum_shapes() -> dict[str, str]:
+    """Streams whose extremes sit where the partial-sum scan treats them
+    differently: inside the first word, at a word's end, in the tail bits
+    after the last whole word, as far past the word-end sums as the scan's
+    bound allows, and a low below the negated high."""
+    flat = "01" * 320  # ten whole words, every partial sum 0 or -1
+    return {
+        "high inside the first word": "1" * 30 + "0" * 34 + flat,
+        "low inside the first word": "0" * 30 + "1" * 34 + flat,
+        "high at the first word's end": "1" * 64 + "0" * 64 + flat,
+        "high at an inner word's end": flat + "1" * 64 + "0" * 64 + flat,
+        "low at an inner word's end": flat + "0" * 64 + "1" * 64 + flat,
+        "high inside the tail": flat + "1" * 20 + "0" * 3,
+        "low at the last bit": flat + "0" * 63,
+        "low beyond the high": "1" * 10 + "0" * 200 + flat,
+        "high late inside an inner word": flat + "0" * 20 + "1" * 40 + "0" * 4 + flat,
+        "low late inside an inner word": flat + "1" * 20 + "0" * 40 + "1" * 4 + flat,
+        # the word-end sums span -64 to 64; a word from 34 to 32 peaks at
+        # 65, the most its end sums allow: (34 + 32 + 64) / 2
+        "high at the bound": "0" * 64 + "1" * 128 + "0" * 47 + "1" * 48 + "0" * 33 + flat,
+        "low at the bound": "1" * 64 + "0" * 128 + "1" * 47 + "0" * 48 + "1" * 33 + flat,
+    }
+
+
+class TestCusumScan:
+    """The partial-sum scan opens only the 64-bit words whose end sums leave
+    room for a sum beyond the extremes; every placement of those extremes
+    gives the bit-by-bit excursions."""
+
+    @pytest.mark.parametrize("w", [0, 1, 2, 40])
+    def test_every_length_mod_64(self, w):
+        rng = np.random.default_rng(w)
+        for r in range(0 if w else 1, 64):
+            arr = rng.integers(0, 2, 64 * w + r, dtype=np.uint8)
+            assert stats._cusum_excursions(packed(arr)) == cusum_excursions(arr.tolist()), arr.size
+
+    # every word can hold an extreme: every word is opened
+    @pytest.mark.parametrize("period", ["01", "10", "0011", "1100", "0110"])
+    @pytest.mark.parametrize("n", [64, 100, 6400, 6463])
+    def test_flat_streams(self, period, n):
+        bits = (period * n)[:n]
+        assert stats._cusum_excursions(packed(bits)) == cusum_excursions(stats.bitops.as_bit_array(bits).tolist())
+
+    # about one word can hold an extreme
+    @pytest.mark.parametrize("density", [0.1, 0.9])
+    @pytest.mark.parametrize("n", [6400, 10_037])
+    def test_biased_streams(self, density, n):
+        arr = (np.random.default_rng(n).random(n) < density).astype(np.uint8)
+        assert stats._cusum_excursions(packed(arr)) == cusum_excursions(arr.tolist())
+
+    @pytest.mark.parametrize("bits", cusum_shapes().values(), ids=cusum_shapes().keys())
+    def test_extreme_placements(self, bits):
+        for tail in ("", "1", "0" * 17):
+            arr = stats.bitops.as_bit_array(bits + tail)
+            assert stats._cusum_excursions(packed(arr)) == cusum_excursions(arr.tolist()), tail
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_streams(self, seed):
+        arr = np.random.default_rng(seed).integers(0, 2, 100_000 + seed, dtype=np.uint8)
+        assert stats._cusum_excursions(packed(arr)) == cusum_excursions(arr.tolist())
+
+
 class TestSharedWork:
     """The battery counts windows once and scans partial sums once."""
 
