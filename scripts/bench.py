@@ -22,7 +22,8 @@ The layers:
   their build;
 * `kernel`: `states()` of a fresh generator for 4096 bytes of output at
   k = 3N + 1, N = 4, 12 and 16, on the negation and on a variant made by 16
-  seeded paired edits (4 at N=4); the streams of as many bytes, rounds
+  seeded paired edits (4 at N=4), and at N = 12 and 16 on seeded random
+  images, which run the scalar loop; the streams of as many bytes, rounds
   formatted as text, at N=4 on that variant (`byte_stream`, `bit_stream`),
   at N=12 on its variant (`byte_stream`) and at N=16 on the negation
   (`byte_stream`, `bit_stream`); the N=16 function's set-up (negation,
@@ -120,6 +121,7 @@ ENTRIES = {
     )
     + (f"bits(4096){TABLES_COLD}",),
     "kernel": tuple(f"states(N={n}, {kind})" for n in (4, 12, 16) for kind in ("negation", "variant"))
+    + ("states(N=12, dense)", "states(N=16, dense)")
     + ("byte_stream(N=4, variant)", "bit_stream(N=4, variant)", "byte_stream(N=16, negation)")
     + ("bit_stream(N=16, negation)", "byte_stream(N=12, variant)")
     + ("parse_function(N=16)", "negation(16)", "mutate_pair x16 (N=16)", STATE_BITS_CALL)
@@ -167,10 +169,11 @@ HEADERS = {
     "kernel": {
         "what": (
             "The update kernel: `states(N=n, f)` is a fresh generator's states() for `wide_bytes` bytes of output at "
-            "k = 3N + 1; the variant is the negation after 16 seeded paired edits (4 at N=4).  `byte_stream(N=n, f)` "
+            "k = 3N + 1; the variant is the negation after 16 seeded paired edits (4 at N=4), and `dense` the "
+            "function of `random(n)` in BENCH_verify.json, which runs the scalar loop.  `byte_stream(N=n, f)` "
             "and `bit_stream(N=n, f)` are that generator's streams of the same rounds, as `wide_bytes` bytes and as "
             "text.  Older runs lack the stream entries, and those before `one digit table` the N=16 `bit_stream` and "
-            "N=12 `byte_stream`.  "
+            "N=12 `byte_stream`, and those before `one mask array` the `dense` entries.  "
             "`pack_bits` and `bits_to_str` take the bits that the `state_bits` entry gives.  "
             "Older runs record `peak_mib` of the state_bits call only." + METHOD
         ),
@@ -341,6 +344,13 @@ def variant(n_bits: int):
     return f
 
 
+def dense(n_bits: int):
+    """The function of `random(n_bits)`: seeded random images, far from the negation."""
+    from ciprng import func
+
+    return func.VectorOfImages(*verify_images(f"random({n_bits})"))
+
+
 def verify_images(name: str) -> tuple[int, list[int]]:
     """Width and images of a `verify` function, in pure Python.
 
@@ -407,7 +417,7 @@ def kernel_call(name: str, tmp: Path):
     if name.startswith(("states", "byte_stream", "bit_stream")):
         method, spec = name[:-1].split("(N=")
         n, kind = spec.split(", ")
-        f = func.negation(int(n)) if kind == "negation" else variant(int(n))
+        f = {"negation": func.negation, "variant": variant, "dense": dense}[kind](int(n))
         return lambda: output(method, f)
     if name == "parse_function(N=16)":
         text = func.format_function(variant(16))

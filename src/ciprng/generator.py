@@ -9,21 +9,24 @@ of f(state).  The state after the m updates is the round output.
 same outputs in bulk when both sources are Xorshift64 and one round fits
 a block: it draws a block's bits and coordinates as arrays, then runs
 every block's updates through one of three engines, fixed when the
-generator is built:
+generator is built.  Coordinate s updates the digit 1 << (N - s), its
+mask; "flips" and "scalar" read a block's masks from one array, made by
+one rule (`_masks`) in the narrowest unsigned dtype that holds them:
 
 * "flips", when f is close to the negation, whose update at a digit
   flips it: a block's states are the seed XOR an exclusive prefix XOR
-  of its masks, made once, stepped past the few updates that f's
-  defects hold; under the negation itself, which has none, a round's
-  masks XOR to its flips, one reduction a round, and the round outputs
-  are the seed XOR their running XOR;
+  of its masks, made once in the masks' dtype, stepped past the few
+  updates that f's defects hold; under the negation itself, which has
+  none, a round's masks XOR to its flips, one reduction a round, and
+  the round outputs are the seed XOR their running XOR;
 * "composed", for other f at narrow N: a walk through a table of the
   maps of every sequence of up to g updates, built from f's mapping
   matrix as `func.mapping_matrix` gives it, a round's updates taking
   per = ceil((k + 1) / g) steps, one lookup each, or all three of a
   round in one walk iteration when per is 3, as at the default k for
   N=4;
-* "scalar", for other f at wide N: one update at a time.
+* "scalar", for other f at wide N: one update at a time, over the
+  masks read one by one.
 
 Closeness is the defect rate, the share of updates that depart from the
 negation over uniform states: the popcount of `func.defects` summed over
@@ -92,12 +95,16 @@ _GROUP_TABLES = 16
 # 1e-2 (5.2e-3: 12.6 against 20.7 ms; 1.04e-2: 18.8 against 18.1 ms).
 # 1/1024 leaves a margin of four over the nearer.
 _FLIP_RATE = 1 / 1024
-# Updates in the widest window _flip_rounds checks.  A window's states,
-# masks, defects and held test are temporaries of one entry per update,
-# so it bounds each to 64 KiB; the block's one array of one entry per
-# update is the prefix XOR of its masks.  Windows start, and restart
-# after a held update, at the expected gap between held updates, 1 / rate,
-# or at this bound if that is wider.
+# Updates in the widest window _flip_rounds checks.  Windows start, and
+# restart after a held update, at the expected gap between held updates,
+# 1 / rate, or at this bound if that is wider.  It bounds memory: a
+# window's states, defects and held test are temporaries of one entry per
+# update, each at most 64 KiB, while the block's arrays of one entry per
+# update are its masks and their prefix XOR.  It bounds time too, since a
+# window's work past its first held update is thrown away: uncapped, the
+# N=16 variant of 16 paired edits starts windows at 32,768 updates, and
+# its `states(N=16, variant)` of `scripts/bench.py --layer kernel` took
+# 1.665 against 1.171 ms (2-core Xeon, medians of 5 alternating rounds).
 _FLIP_WINDOW_MAX = 1 << 14
 # Held updates a "flips" block may meet, one per _HELD_SHARE updates and at
 # least 16, before it hands the rest of the block to the scalar loop.  The
@@ -238,12 +245,13 @@ class CiGenerator:
         """Run the updates one by one over pre-drawn coordinates.
 
         updates[r] is round r's update count; coords holds all the
-        block's coordinates in draw order.
+        block's coordinates in draw order.  Their masks are read through a
+        memoryview, one int at a time: a list of them would hold an int
+        object for every mask above 256, and at N=16 it took a full
+        block's peak from 0.76 to 3.3 MB.
         """
-        n = self.config.f.n_bits
         images = self.config.f.images
-        weights = [0] + [1 << (n - s) for s in range(1, n + 1)]  # digit of coordinate s
-        masks = map(weights.__getitem__, coords.tolist())
+        masks = iter(memoryview(_masks(coords, self.config.f.n_bits)))
         x = self.x
         xs = []
         for m in updates.tolist():
@@ -304,11 +312,12 @@ class CiGenerator:
         """Flip the masks' digits as the negation does, stepping only at held updates.
 
         With no update held, the state before update j is x XOR before[j],
-        the XOR of the block's masks ahead of j; mask j is before[j] XOR
-        before[j + 1].  An update is held when d(state) & mask != 0, d
-        being `func.defects`: the state stays, so from there on every
-        state is the prefix's with that mask XORed in, which c tracks.  A
-        window of updates finds its first held one in one gather of d.
+        the XOR of the block's masks ahead of j, an exclusive prefix XOR
+        in the masks' dtype, which holds every state.  An update is held
+        when d(state) & mask != 0, d being `func.defects`: the state
+        stays, so from there on every state is the prefix's with that mask
+        XORed in, which c tracks.  A window of updates finds its first
+        held one in one gather of d.
         Windows start, and restart after a held update, at the expected
         gap between held updates, and a window holding none makes the
         next twice as long.  Past the block's budget of held updates, the
@@ -316,31 +325,20 @@ class CiGenerator:
         loop.
 
         A generator with no defects (the negation) holds none, and reads
-        no prefix: the masks, in the narrowest unsigned dtype that holds
-        them, XOR to each round's flips in one reduction a round (no round
-        is empty, k >= 1), and the running XOR of those, XOR x, gives the
-        round outputs.
+        no prefix: the masks XOR to each round's flips in one reduction a
+        round (no round is empty, k >= 1), and the running XOR of those,
+        XOR x, gives the round outputs.
         """
-        n = self.config.f.n_bits
         ends = np.cumsum(updates)  # round r's updates are ends[r] - updates[r] to ends[r] - 1
+        masks = _masks(coords, self.config.f.n_bits)
         if not self._held:
-            masks = np.empty(coords.size, dtype=np.uint8 if n <= 8 else np.uint16)
-            # unsafe admits coordinates of any integer dtype; each fits
-            np.subtract(n, coords, out=masks, dtype=masks.dtype, casting="unsafe")
-            np.left_shift(1, masks, out=masks)
             flips = np.bitwise_xor.reduceat(masks, ends - updates)
             np.bitwise_xor.accumulate(flips, out=flips)
             np.bitwise_xor(flips, self.x, out=out)
             return
         defects = self._defects
-        # one block-sized array: coordinate s is shifted into its mask
-        # 1 << (N - s) in place, and the masks into their prefix XOR
-        before = np.empty(coords.size + 1, dtype=np.int32)
-        before[0] = 0
-        prefix = before[1:]
-        np.subtract(n, coords, out=prefix, dtype=np.int32)
-        np.left_shift(1, prefix, out=prefix)
-        np.bitwise_xor.accumulate(prefix, out=prefix)
+        before = np.zeros(coords.size + 1, dtype=masks.dtype)
+        np.bitwise_xor.accumulate(masks, out=before[1:])
         x0 = c = self.x  # the state before update j is before[j] ^ c
         held, cs = [], [c]  # the updates held, and c after each
         pos = 0
@@ -348,13 +346,11 @@ class CiGenerator:
         budget = max(16, coords.size // _HELD_SHARE)
         while pos < coords.size and len(held) <= budget:
             stop = min(pos + size, coords.size)
-            states = before[pos:stop] ^ c
-            masks = before[pos + 1 : stop + 1] ^ before[pos:stop]
-            hits = (defects[states] & masks).astype(bool)
+            hits = (defects[before[pos:stop] ^ c] & masks[pos:stop]).astype(bool)
             i = int(hits.argmax())
             if hits[i]:
                 held.append(pos + i)
-                c ^= int(masks[i])
+                c ^= int(masks[pos + i])
                 cs.append(c)
                 pos, size = pos + i + 1, self._window
             else:
@@ -386,6 +382,17 @@ class CiGenerator:
         n = self.config.f.n_bits
         states = self.states(-(-8 * n_bytes // n))  # ceil: enough rounds, tail bits dropped
         return np.packbits(bitops.state_bits(states, n)[: 8 * n_bytes]).tobytes()
+
+
+def _masks(coords: np.ndarray, n_bits: int) -> np.ndarray:
+    """The digit 1 << (N - s) of each coordinate s in coords, the one
+    coordinate-to-digit rule of the bulk engines, in the narrowest unsigned
+    dtype that holds it: uint8 up to N=8, uint16 above."""
+    masks = np.empty(coords.size, dtype=np.uint8 if n_bits <= 8 else np.uint16)
+    # unsafe admits coordinates of any integer dtype; each fits
+    np.subtract(n_bits, coords, out=masks, dtype=masks.dtype, casting="unsafe")
+    np.left_shift(1, masks, out=masks)
+    return masks
 
 
 @functools.lru_cache(maxsize=_GROUP_TABLES)

@@ -15,8 +15,9 @@ cumulative sums use `math.erfc`; the chi-square tests use `_igamc`, the
 regularized upper incomplete gamma function, computed here from its
 power series and continued fraction, as the reference tool carries its
 own.  The cumulative-sums p-value sums normal-CDF differences over k;
-only the few k whose CDF arguments are not both beyond +-40 are summed,
-as every other term is exactly 0 in double (`_cusum_p`).
+only the few k whose CDF arguments are not both above +8.3 nor both
+below -40 are summed, as every other term is exactly 0 in double
+(`_cusum_p`).
 
 `run_battery` checks the stream once and packs it once, MSB first, into
 a zero-padded buffer of whole 64-bit words (`_Packed`); every count reads
@@ -386,17 +387,20 @@ def _cusum_p(n: int, z: int) -> float:
     """p-value of a largest excursion z >= 1 over n steps.
 
     Each sum runs over the k whose two normal-CDF arguments are not both
-    beyond +-40: from +8.3 on the CDF is 1.0 in double and from -38.5 on
-    it is 0.0, so every term left out is exactly 0.  A stream's z is
-    about sqrt(n), which leaves a few dozen of the n / (2z) terms.
+    above +8.3 nor both below -40: from +8.2924 on the CDF is 1.0 in
+    double and from -38.5 on it is 0.0, so every term left out is exactly
+    0.  That leaves about 12 sqrt(n) / z of the n / (2z) terms in each
+    sum: a dozen at a stream's usual z of about sqrt(n), and 12,000 at
+    n = 10^6 for the z of 1 of alternating bits.
     """
     sqrt_n = math.sqrt(n)
     nz = n // z
-    reach = 40.0 * sqrt_n / z  # |4k + c| past this puts (4k + c) z / sqrt(n) past 40
+    # 4k + c past these puts (4k + c) z / sqrt(n) above 8.3 or below -40
+    high, low = 8.3 * sqrt_n / z, -40.0 * sqrt_n / z
 
     def phi_term(lo: int, hi: int, a: int, b: int) -> float:
-        lo = max(lo, math.ceil((-reach - a) / 4))
-        hi = min(hi, math.floor((reach - b) / 4))
+        lo = max(lo, math.ceil((low - a) / 4))
+        hi = min(hi, math.floor((high - b) / 4))
         return math.fsum(
             _ndtr((4 * k + a) * z / sqrt_n) - _ndtr((4 * k + b) * z / sqrt_n) for k in range(lo, hi + 1)
         )

@@ -7,6 +7,8 @@ code with the implementations they check.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 
 from ciprng.errors import ResourceLimitError
@@ -181,6 +183,31 @@ def cusum_excursions(bits):
 
     steps = [2 * b - 1 for b in bits]
     return peak(steps), peak(steps[::-1])
+
+
+def cusum_terms(n, z, ndtr):
+    """The terms of the two sums of the cumulative-sums p-value of a largest
+    excursion z over n steps (SP 800-22 section 2.13), over every k, with
+    the normal CDF given."""
+    nz = n // z
+
+    def toward_zero(a):
+        return -(-a // 4) if a < 0 else a // 4
+
+    def terms(lo, hi, a, b):
+        return [ndtr((4 * k + a) * z / math.sqrt(n)) - ndtr((4 * k + b) * z / math.sqrt(n)) for k in range(lo, hi + 1)]
+
+    return (
+        terms(toward_zero(-nz + 1), toward_zero(nz - 1), 1, -1),
+        terms(toward_zero(-nz - 3), toward_zero(nz - 1), 3, 1),
+    )
+
+
+def cusum_p(n, z):
+    """The cumulative-sums p-value, summed over every k in double with
+    `math.erfc`, clipped to [0, 1]."""
+    sum1, sum2 = cusum_terms(n, z, lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)))
+    return min(1.0, max(0.0, 1.0 - math.fsum(sum1) + math.fsum(sum2)))
 
 
 def expansion_bits(constant, count):

@@ -96,6 +96,7 @@ def test_a_child_peak_rss_at_the_harness_own_is_refused(tmp_path):
         ("kernel", "negation(16)"),
         ("kernel", "bit_stream(N=4, variant)"),
         ("kernel", "byte_stream(N=12, variant)"),
+        ("kernel", "states(N=16, dense)"),
         ("battery", "frequency"),
         ("battery", bench.RAGGED_BATTERY),
         ("verify", "is_strongly_connected(random(12))"),

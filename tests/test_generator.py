@@ -986,22 +986,27 @@ class TestFlipEngine:
         assert gen.path == "round" and not hasattr(gen, "_defects")
 
     def test_block_peaks_no_higher_than_scalar_loop(self, monkeypatch):
-        # one full block at N=16, k=49: _BLOCK_UPDATES // 50 rounds
-        def peak(rate):
+        # one full block at N=16, k=49: _BLOCK_UPDATES // 50 rounds, under
+        # the negation and under a variant of 16 paired edits, whose block
+        # searches for held updates.  Both engines keep the block's uint16
+        # masks; the search keeps their prefix XOR too, one more such array
+        def peak(f, rate):
             monkeypatch.setattr(generator, "_FLIP_RATE", rate)
-            config = GeneratorConfig(func.negation(16), k=49, seed_state=0)
+            config = GeneratorConfig(f, k=49, seed_state=0)
             gen = CiGenerator(config, Xorshift64(1), Xorshift64(2))
             gen.states(1)  # the sources' cached tables
             tracemalloc.start()
             try:
                 gen.states(gen.block_rounds)
-                return gen.path, tracemalloc.get_traced_memory()[1]
+                return gen.path, gen._held, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        flips, scalar = peak(generator._FLIP_RATE), peak(-1.0)
-        assert (flips[0], scalar[0]) == ("flips", "scalar")
-        assert flips[1] <= scalar[1]
+        rate = generator._FLIP_RATE
+        for f, held in ((func.negation(16), False), (paired_edits(16, 16), True)):
+            flips, scalar = peak(f, rate), peak(f, -1.0)
+            assert (flips[:2], scalar[0]) == (("flips", held), "scalar")
+            assert flips[2] <= scalar[2] + held * 2 * generator._BLOCK_UPDATES, held
 
 
 class SingleDraws(Xorshift64):

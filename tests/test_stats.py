@@ -28,6 +28,8 @@ from oracles import (
     block_ones,
     count_max_run_le,
     cusum_excursions,
+    cusum_p,
+    cusum_terms,
     expansion_bits,
     longest_runs,
     window_counts,
@@ -484,31 +486,33 @@ def test_igamc_edge_values_are_scipys(a, x):
     assert stats._igamc(a, x) == pytest.approx(float(sp.gammaincc(a, x)), nan_ok=True)
 
 
-def cusum_terms(n: int, z: int, ndtr) -> tuple[list, list]:
-    """The terms of the two sums of the cumulative-sums p-value (SP 800-22
-    section 2.13), over every k, with the normal CDF given."""
-    nz = n // z
-
-    def terms(lo: int, hi: int, a: int, b: int) -> list:
-        return [ndtr((4 * k + a) * z / math.sqrt(n)) - ndtr((4 * k + b) * z / math.sqrt(n)) for k in range(lo, hi + 1)]
-
-    return (
-        terms(stats._c_div(-nz + 1, 4), stats._c_div(nz - 1, 4), 1, -1),
-        terms(stats._c_div(-nz - 3, 4), stats._c_div(nz - 1, 4), 3, 1),
-    )
-
-
 def cusum_z_grid(n: int) -> list[int]:
     return sorted({1, 2, math.isqrt(n), n // 2, n})
 
 
-@pytest.mark.parametrize("n", [100, 10_000, 1_000_000])
+@pytest.mark.parametrize("n", [100, 1000, 10_000, 1_000_000, 1_000_003])
 def test_cusum_trim_drops_only_zero_terms(n):
-    # the terms left out are exactly 0.0 in double, so the trimmed sum
-    # equals the sum over every k, clipped to [0, 1] alike
-    for z in cusum_z_grid(n):
-        sum1, sum2 = cusum_terms(n, z, stats._ndtr)
-        assert stats._cusum_p(n, z) == min(1.0, max(0.0, 1.0 - math.fsum(sum1) + math.fsum(sum2))), z
+    # the terms left out, both CDF arguments above +8.3 or both below -40,
+    # are exactly 0.0 in double, so the trimmed sum equals the sum over
+    # every k, clipped to [0, 1] alike: at every z up to n = 1000, and
+    # wider on a grid that holds the flat streams' small z
+    zs = range(1, n + 1) if n <= 1000 else {3, 7, *cusum_z_grid(n), *(round(n ** (i / 12)) for i in range(13))}
+    for z in sorted(zs):
+        assert stats._cusum_p(n, z) == cusum_p(n, z), z
+
+
+@pytest.mark.parametrize("shape", ["alternating", "period 4", "seeded"])
+def test_cusum_p_of_streams_equals_the_sum_over_every_k(shape):
+    # alternating bits have excursions of 1, "0011" repeated of 2
+    n = 100_003
+    steps = np.arange(n)
+    bits = {
+        "alternating": steps % 2,
+        "period 4": steps // 2 % 2,
+        "seeded": np.random.default_rng(26).integers(0, 2, n),
+    }[shape].astype(np.uint8)
+    z_fwd, z_bwd = cusum_excursions(bits.tolist())
+    assert stats.cumulative_sums(bits) == (cusum_p(n, z_fwd), cusum_p(n, z_bwd))
 
 
 def test_cusum_p_clipped_to_unit_interval():
