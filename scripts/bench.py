@@ -33,7 +33,8 @@ The layers:
   both formats on one seeded 10^6-bit stream; `run_battery` on a seeded
   stream of 1,000,003 bits, whose last packed word and window count's
   wrap-around end mid-byte; cumulative sums on 10^6 alternating bits,
-  whose partial sums leave no word of the stream unopened; and the command
+  whose partial sums leave no word of the stream unopened; longest run on a
+  seeded stream of 6000 bits, whose blocks are 8 bits long; and the command
   `ciprng test` on the 10^6-bit stream's raw bytes;
 * `e2e`: the north star's end-to-end commands: `gen` of 1 MiB at N=4; `gen`
   of 10^6 bits then `test` on its file; `search` at N=4, depth 8, with
@@ -84,6 +85,8 @@ BITS = 1_000_000
 RAGGED_BITS = 1_000_003
 RAGGED_BATTERY = f"run_battery({RAGGED_BITS} bits)"
 FLAT_CUSUM = "cumulative-sums(alternating)"
+SHORT_BITS = 6000
+SHORT_RUN = f"longest-run({SHORT_BITS} bits)"
 BATTERY_SEED = 18
 DRAWS_SEED = 0x5EED
 KERNEL_SEED = 22
@@ -133,6 +136,7 @@ ENTRIES = {
         FLAT_CUSUM,
         "runs",
         "longest-run",
+        SHORT_RUN,
         "serial",
         "approximate-entropy",
         "run_battery",
@@ -186,7 +190,9 @@ HEADERS = {
             "The battery on one seeded stream of `bits` bits; default BatteryConfig.  The entry "
             f"{RAGGED_BATTERY!r} runs the battery on a seeded stream of that length instead, and {FLAT_CUSUM!r} the "
             "cumulative-sums test on `bits` alternating bits, whose every 64-bit word the partial-sum scan opens; most "
-            "of its time is the p-values of an excursion of 1, and older runs lack it.  The command `ciprng test` is "
+            f"of its time is the p-values of an excursion of 1, and older runs lack it.  {SHORT_RUN!r} is the "
+            "longest-run test on a seeded stream of that length, whose blocks are 8 bits; runs before `one run "
+            "word form` lack it.  The command `ciprng test` is "
             "`python -m ciprng test --stream-format raw` on that stream's packed bytes; older runs "
             "list its rounds under `test_children`." + METHOD
         ),
@@ -444,6 +450,9 @@ def battery_call(name: str, tmp: Path):
     if name == RAGGED_BATTERY:
         ragged = seeded_bits(RAGGED_BITS)
         return lambda: stats.run_battery(ragged)
+    if name == SHORT_RUN:
+        short = seeded_bits(SHORT_BITS)
+        return lambda: stats.longest_run_of_ones(short)
     if name == FLAT_CUSUM:
         alternating = np.arange(BITS, dtype=np.uint8) % 2
         return lambda: stats.cumulative_sums(alternating)

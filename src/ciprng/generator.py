@@ -16,9 +16,10 @@ one rule (`_masks`) in the narrowest unsigned dtype that holds them:
 * "flips", when f is close to the negation, whose update at a digit
   flips it: a block's states are the seed XOR an exclusive prefix XOR
   of its masks, made once in the masks' dtype, stepped past the few
-  updates that f's defects hold; under the negation itself, which has
-  none, a round's masks XOR to its flips, one reduction a round, and
-  the round outputs are the seed XOR their running XOR;
+  updates that f's defects hold, found by windows of the expected gap
+  between them; under the negation itself, which has none, a round's
+  masks XOR to its flips, one reduction a round, and the round outputs
+  are the seed XOR their running XOR;
 * "composed", for other f at narrow N: a walk through a table of the
   maps of every sequence of up to g updates, built from f's mapping
   matrix as `func.mapping_matrix` gives it, a round's updates taking
@@ -95,16 +96,20 @@ _GROUP_TABLES = 16
 # 1e-2 (5.2e-3: 12.6 against 20.7 ms; 1.04e-2: 18.8 against 18.1 ms).
 # 1/1024 leaves a margin of four over the nearer.
 _FLIP_RATE = 1 / 1024
-# Updates in the widest window _flip_rounds checks.  Windows start, and
-# restart after a held update, at the expected gap between held updates,
-# 1 / rate, or at this bound if that is wider.  It bounds memory: a
-# window's states, defects and held test are temporaries of one entry per
-# update, each at most 64 KiB, while the block's arrays of one entry per
-# update are its masks and their prefix XOR.  It bounds time too, since a
-# window's work past its first held update is thrown away: uncapped, the
-# N=16 variant of 16 paired edits starts windows at 32,768 updates, and
-# its `states(N=16, variant)` of `scripts/bench.py --layer kernel` took
-# 1.665 against 1.171 ms (2-core Xeon, medians of 5 alternating rounds).
+# Updates in the widest window _flip_rounds checks.  Every window spans the
+# expected gap between held updates, 1 / rate, or this bound if that is
+# wider, whether or not the window before it held one: doubling a window
+# after an empty one took 0.97-1.14x, and windows of twice the gap
+# 0.95-1.13x, the time of one size (states() for 4096 bytes at k = 3N + 1
+# under 20 paired-edit variants at N = 8-16, 2-core Xeon, min of 41 and 61
+# interleaved calls in two runs).  It bounds memory: a window's states,
+# defects and held test are temporaries of one entry per update, each at
+# most 64 KiB, while the block's arrays of one entry per update are its
+# masks and their prefix XOR.  It bounds time too, since a window's work
+# past its first held update is thrown away: uncapped, the N=16 variant of
+# 16 paired edits has windows of 32,768 updates, and its
+# `states(N=16, variant)` of `scripts/bench.py --layer kernel` took 1.665
+# against 1.171 ms (2-core Xeon, medians of 5 alternating rounds).
 _FLIP_WINDOW_MAX = 1 << 14
 # Held updates a "flips" block may meet, one per _HELD_SHARE updates and at
 # least 16, before it hands the rest of the block to the scalar loop.  The
@@ -182,7 +187,7 @@ class CiGenerator:
         self._defects = defects(f)
         rate = int(np.bitwise_count(self._defects).sum()) / (f.n_bits << f.n_bits)
         self._held = rate > 0  # whether any update can be held: not under the negation
-        # "flips" windows start at the expected gap between held updates
+        # "flips" windows span the expected gap between held updates
         self._window = min(_FLIP_WINDOW_MAX, int(1 / rate)) if rate else _FLIP_WINDOW_MAX
         if rate <= _FLIP_RATE:
             self.path = "flips"
@@ -318,11 +323,11 @@ class CiGenerator:
         stays, so from there on every state is the prefix's with that mask
         XORed in, which c tracks.  A window of updates finds its first
         held one in one gather of d.
-        Windows start, and restart after a held update, at the expected
-        gap between held updates, and a window holding none makes the
-        next twice as long.  Past the block's budget of held updates, the
-        rest of the block, from the current round on, goes to the scalar
-        loop.
+        Every window spans self._window updates, the expected gap between
+        held updates, and the next starts after its first held update, or
+        after its end if it holds none.  Past the block's budget of held
+        updates, the rest of the block, from the first update of the round
+        in progress on, goes to the scalar loop.
 
         A generator with no defects (the negation) holds none, and reads
         no prefix: the masks XOR to each round's flips in one reduction a
@@ -342,28 +347,25 @@ class CiGenerator:
         x0 = c = self.x  # the state before update j is before[j] ^ c
         held, cs = [], [c]  # the updates held, and c after each
         pos = 0
-        size = self._window
         budget = max(16, coords.size // _HELD_SHARE)
         while pos < coords.size and len(held) <= budget:
-            stop = min(pos + size, coords.size)
+            stop = min(pos + self._window, coords.size)
             hits = (defects[before[pos:stop] ^ c] & masks[pos:stop]).astype(bool)
             i = int(hits.argmax())
             if hits[i]:
                 held.append(pos + i)
                 c ^= int(masks[pos + i])
                 cs.append(c)
-                pos, size = pos + i + 1, self._window
-            else:
-                pos, size = stop, min(2 * size, _FLIP_WINDOW_MAX)
+                stop = pos + i + 1
+            pos = stop
         # before[ends[r]] is the state after round r, held updates aside;
         # a held update XORs its mask into c for every later state
         out[:] = before[ends]
         out ^= np.array(cs)[np.searchsorted(held, ends, side="left")]
         if pos < coords.size:
             r = int(np.searchsorted(ends, pos, side="right"))  # rounds before r ended at or before pos
-            start = int(ends[r - 1]) if r else 0
             self.x = int(out[r - 1]) if r else x0
-            self._scalar_rounds(updates[r:], coords[start:], out[r:])
+            self._scalar_rounds(updates[r:], coords[ends[r] - updates[r] :], out[r:])
 
     def bit_stream(self, n_rounds: int, include_seed: bool = False) -> str:
         """Big-endian bit patterns of n_rounds round outputs, concatenated.

@@ -35,13 +35,13 @@ that buffer, or arrays of its words made from it once:
   leave room for a sum beyond the extremes among them, reading their
   16-bit quarters through per-quarter tables of net step, highest and
   lowest prefix (`_cusum_excursions`);
-* longest run reads an array of the buffer's 16-bit words through
-  per-word tables of leading ones, trailing ones and longest inner run:
-  its blocks of 128 or 10^4 bits are a prefix of those words, and of the
-  buffer's bytes for blocks of 8 (`_run_tables`).  A block's longest run
-  is its largest inner run or its largest trailing-plus-leading sum over
-  adjacent words, exact once clipped to the top class, which is at most
-  16;
+* longest run reads 16-bit words through per-word tables of leading
+  ones, trailing ones and longest inner run (`_run_tables`): its blocks
+  of 128 or 10^4 bits are a prefix of the buffer's 16-bit words, and a
+  block of 8 is one word, the block in its high byte and 0 in its low
+  byte.  A block's longest run is its largest inner run or its largest
+  trailing-plus-leading sum over adjacent words, exact once clipped to
+  the top class, which is at most 16;
 * serial and approximate entropy both read counts of the overlapping
   windows of the circular stream.  The battery counts once, at the wider
   of the two widths the tests need, and merges those counts down to each
@@ -71,6 +71,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -263,51 +264,48 @@ def _longest_run_p(stream: _Packed) -> float:
 
 def _clipped_longest_runs(stream: _Packed, m: int, lo: int, hi: int) -> np.ndarray:
     """Longest run of ones in each whole m-bit block, clipped to [lo, hi];
-    m is a multiple of 8 and hi <= 16.
+    m is 8 or a multiple of 16, and hi <= 16.
 
-    Each block is read as the stream's 16-bit words, or as its bytes when
-    m is not a multiple of 16.  A run inside one word is that word's longest
-    inner run; a run across one word boundary is the trailing ones of the
-    word before it plus the leading ones of the word after it.  A run
-    across two boundaries holds a whole word of ones, whose inner run of
-    16 already clips to hi, so the clipped block maximum is exact.  The
-    leading ones of each block's first word are set to 0, so the last word
-    of the block before adds only its trailing ones, which its inner run
-    already covers.
+    Each block is read as 16-bit words: the stream's own, or for m = 8 one
+    word per block, the block in its high byte and 0 in its low byte.  A
+    run inside one word is that word's longest inner run; a run across one
+    word boundary is the trailing ones of the word before it plus the
+    leading ones of the word after it.  A run across two boundaries holds a
+    whole word of ones, whose inner run of 16 already clips to hi, so the
+    clipped block maximum is exact.  The leading ones of each block's first
+    word are set to 0, so the last word of the block before adds only its
+    trailing ones, which its inner run already covers.
     """
-    width = 16 if m % 16 == 0 else 8
-    lead, trail, inner = _run_tables(width)
-    source = stream.words16 if width == 16 else stream.buffer
-    words = source[: stream.n // m * m // width]
+    per = -(-m // 16)  # words a block
+    words = stream.words16 if m % 16 == 0 else stream.buffer.astype(np.intp) << 8
+    words = words[: stream.n // m * per]
+    lead, trail, inner = _run_tables()
     after = lead.take(words)
-    after[:: m // width] = 0
+    after[::per] = 0
     longest = trail.take(words)
     longest[:-1] += after[1:]
     np.maximum(longest, inner.take(words), out=longest)
-    return np.clip(longest.reshape(-1, m // width).max(axis=1), lo, hi)
+    return np.clip(longest.reshape(-1, per).max(axis=1), lo, hi)
 
 
 @functools.cache
-def _run_tables(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per `width`-bit word (8 or 16), its bits read MSB first: the number
-    of leading ones, of trailing ones, and its longest run of ones.  The
-    16-bit tables are composed from the 8-bit ones.
+def _run_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per 16-bit word, its bits read MSB first: the number of leading
+    ones, of trailing ones, and its longest run of ones, composed from the
+    same three counts of each byte.
     """
-    if width == 16:
-        lead8, trail8, inner8 = (t[:, None] for t in _run_tables(8))
-        # rows index the word's high byte, columns its low byte
-        lead = np.where(lead8 == 8, 8 + lead8.T, lead8)
-        trail = np.where(trail8.T == 8, 8 + trail8, trail8.T)
-        inner = np.maximum(np.maximum(inner8, inner8.T), trail8 + lead8.T)
-        return lead.ravel(), trail.ravel(), inner.ravel()
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    lead = np.cumprod(bits, axis=1).sum(axis=1, dtype=np.uint8)
-    trail = np.cumprod(bits[:, ::-1], axis=1).sum(axis=1, dtype=np.uint8)
-    run = inner = np.zeros(256, dtype=np.uint8)
+    lead8 = np.cumprod(bits, axis=1).sum(axis=1, dtype=np.uint8)[:, None]
+    trail8 = np.cumprod(bits[:, ::-1], axis=1).sum(axis=1, dtype=np.uint8)[:, None]
+    run = inner8 = np.zeros((256, 1), dtype=np.uint8)
     for column in bits.T:
-        run = (run + 1) * column
-        inner = np.maximum(inner, run)
-    return lead, trail, inner
+        run = (run + 1) * column[:, None]
+        inner8 = np.maximum(inner8, run)
+    # rows index the word's high byte, columns its low byte
+    lead = np.where(lead8 == 8, 8 + lead8.T, lead8)
+    trail = np.where(trail8.T == 8, 8 + trail8, trail8.T)
+    inner = np.maximum(np.maximum(inner8, inner8.T), trail8 + lead8.T)
+    return lead.ravel(), trail.ravel(), inner.ravel()
 
 
 def cumulative_sums(bits) -> tuple[float, float]:
@@ -426,14 +424,24 @@ def _c_div(a: int, b: int) -> int:
 def serial(bits, block: int = 10) -> tuple[float, float]:
     """Uniformity of overlapping block-bit patterns (two difference stats)."""
     block = operator.index(block)
-    stream = _packed(bits, "serial", _serial_minimum(block))
+    stream = _packed(bits, "serial", _window_minimum("serial", block))
     return _serial_p(_pattern_counts(stream, block), stream.n)
 
 
-def _serial_minimum(block: int) -> int:
-    if block < 2:
-        raise ValueError(f"block must be >= 2, got {block}")
-    return 1 << (block + 3)
+def _window_minimum(test: str, block: int) -> int:
+    """The least stream the window test `test` takes at `block`:
+    2^(block + 3) bits for serial, whose block is at least 2, and
+    2^(block + 6) for approximate entropy, whose block is at least 1.  A
+    smaller block is a ValueError, and so is one whose minimum no stream
+    reaches (past sys.maxsize bits), decided before the power is built:
+    at block 10^5 it has 30,000 digits, too many to print, and at 10^20
+    too many to build."""
+    least, extra = {"serial": (2, 3), "approximate-entropy": (1, 6)}[test]
+    if block < least:
+        raise ValueError(f"block must be >= {least}, got {block}")
+    if block + extra >= sys.maxsize.bit_length():
+        raise ValueError(f"{test}: block {block} is too large; no stream reaches 2^{block + extra} bits")
+    return 1 << (block + extra)
 
 
 def _serial_p(counts: np.ndarray, n: int) -> tuple[float, float]:
@@ -453,14 +461,8 @@ def _serial_p(counts: np.ndarray, n: int) -> tuple[float, float]:
 def approximate_entropy(bits, block: int = 10) -> float:
     """Entropy gap between block- and (block+1)-bit pattern frequencies."""
     block = operator.index(block)
-    stream = _packed(bits, "approximate-entropy", _apen_minimum(block))
+    stream = _packed(bits, "approximate-entropy", _window_minimum("approximate-entropy", block))
     return _apen_p(_pattern_counts(stream, block + 1), stream.n)
-
-
-def _apen_minimum(block: int) -> int:
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    return 1 << (block + 6)
 
 
 def _apen_p(counts_up: np.ndarray, n: int) -> float:
@@ -553,6 +555,8 @@ def _phi(counts: np.ndarray, n: int) -> float:
 
 def chi_square_symbols(states: Sequence[int], n_bits: int) -> float:
     """Chi-square uniformity of round outputs over [0, 2^N - 1]."""
+    if n_bits + 3 > sys.maxsize.bit_length():  # 5 << n_bits past sys.maxsize: see _window_minimum
+        raise ValueError(f"chi-square-symbols: n_bits {n_bits} is too large; no stream reaches 5 x 2^{n_bits} states")
     size = 1 << n_bits
     arr = np.asarray(states, dtype=np.int64)
     if arr.size < 5 * size:
@@ -725,10 +729,10 @@ def run_battery(bits, config: Optional[BatteryConfig] = None) -> TestReport:
     # what cumulative sums needs): a stream or block refused by several
     # tests raises the error of the first of them
     _check_length(n, "cumulative-sums", 100)
-    _check_length(n, "serial", _serial_minimum(cfg.serial_block))
+    _check_length(n, "serial", _window_minimum("serial", cfg.serial_block))
     _check_blocks(n, cfg.block_size)
     _check_length(n, "longest-run", 128)
-    _check_length(n, "approximate-entropy", _apen_minimum(cfg.apen_block))
+    _check_length(n, "approximate-entropy", _window_minimum("approximate-entropy", cfg.apen_block))
     stream = _Packed(arr)
     width = max(cfg.serial_block, cfg.apen_block + 1)
     counts = _pattern_counts(stream, width)  # one count serves both window tests

@@ -402,6 +402,17 @@ class TestTest:
         rc = cli.main(["test", "/nonexistent/stream.txt"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--serial-block", "--apen-block"])
+    @pytest.mark.parametrize("block", [10**5, 10**20])
+    def test_a_block_no_stream_reaches_exits_2(self, tmp_path, capsys, flag, block):
+        path = tmp_path / "s.txt"
+        path.write_text("01" * 50_000 + "\n")
+        rc = cli.main(["test", str(path), flag, str(block)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"block {block} is too large" in err
+
 
 class TestParserReuse:
     """main parses with one parser per process, and no call leaks into the next."""

@@ -10,6 +10,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import mpmath
@@ -137,6 +138,40 @@ class TestMinimumLengths:
         with pytest.raises(StreamTooShortError) as exc:
             stats.approximate_entropy("01" * 100, block=10)
         assert exc.value.minimum == 1 << 16
+
+    @pytest.mark.parametrize("block", [10**5, 10**20])
+    @pytest.mark.parametrize(
+        "test,call",
+        [
+            ("serial", stats.serial),
+            ("approximate-entropy", stats.approximate_entropy),
+            ("chi-square-symbols", stats.chi_square_symbols),
+        ],
+    )
+    def test_a_minimum_no_stream_reaches_is_refused_at_once(self, test, call, block):
+        # a minimum near 2^(10^5) has too many digits to print, and one near
+        # 2^(10^20) too many to build: the block is refused before either
+        bits = np.zeros(1 << 16, dtype=np.uint8)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            call(bits, block)
+        assert time.perf_counter() - start < 1.0
+        assert type(exc.value) is ValueError
+        assert str(exc.value).startswith(f"{test}: ") and f" {block} is too large" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    def test_the_widest_reachable_minimums_are_still_lengths(self):
+        # 2^62 bits and 5 x 2^60 states fit below sys.maxsize; one bit more does not
+        with pytest.raises(StreamTooShortError) as exc:
+            stats.serial("01" * 100, block=59)
+        assert exc.value.minimum == 1 << 62
+        with pytest.raises(ValueError, match="block 60 is too large"):
+            stats.serial("01" * 100, block=60)
+        with pytest.raises(StreamTooShortError) as exc:
+            stats.chi_square_symbols([0], 60)
+        assert exc.value.minimum == 5 << 60
+        with pytest.raises(ValueError, match="n_bits 61 is too large"):
+            stats.chi_square_symbols([0], 61)
 
 
 class TestProperties:
@@ -388,6 +423,11 @@ class TestSharedWork:
             (10000, {"block_size": 1}, (ValueError, "block_size must be >= 2, got 1", None)),
             (10000, {"block_size": 20000}, (StreamTooShortError, "block-frequency", 20000)),
             (10000, {"apen_block": 0}, (ValueError, "block must be >= 1, got 0", None)),
+            (10000, {"serial_block": 10**20},
+             (ValueError, f"serial: block {10**20} is too large; no stream reaches 2^{10**20 + 3} bits", None)),
+            (10000, {"apen_block": 10**5},
+             (ValueError, "approximate-entropy: block 100000 is too large; no stream reaches 2^100006 bits", None)),
+            (99, {"serial_block": 10**5}, (StreamTooShortError, "cumulative-sums", 100)),
         ],
     )
     def test_battery_raises_the_first_failing_tests_error(self, n, config, error):
@@ -590,10 +630,9 @@ class TestLongestRunBlocks:
         got = stats._clipped_longest_runs(packed(bits), m, lo, hi).tolist()
         assert got == [min(max(length, lo), hi) for length in lengths] * 2
 
-    @pytest.mark.parametrize("width", [8, 16])
-    def test_run_tables_match_bit_count(self, width):
-        lead, trail, inner = stats._run_tables(width)
-        words = [format(w, f"0{width}b") for w in range(1 << width)]
+    def test_run_tables_match_bit_count(self):
+        lead, trail, inner = stats._run_tables()
+        words = [format(w, "016b") for w in range(1 << 16)]
         assert lead.tolist() == [len(s) - len(s.lstrip("1")) for s in words]
         assert trail.tolist() == [len(s) - len(s.rstrip("1")) for s in words]
         assert inner.tolist() == [max(map(len, s.split("0"))) for s in words]
