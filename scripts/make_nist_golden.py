@@ -65,8 +65,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="verify the checked-in golden stream fingerprint and print this "
-             "package's p-values next to the golden ones",
+        help="verify the checked-in golden stream fingerprint, print this "
+             "package's p-values next to the golden ones, and exit 1 if any "
+             "differs from its golden value by more than the golden tolerance",
     )
     args = parser.parse_args()
 
@@ -111,6 +112,10 @@ def main() -> int:
         print(f"{'test':32s} {'computed':>12s} {'golden':>12s}")
         for name, value in golden["p_values"].items():
             print(f"{name:32s} {flat[name]:12.6f} {value:12.6f}")
+        off = [name for name, value in golden["p_values"].items() if abs(flat[name] - value) > golden["tolerance"]]
+        if off:
+            print(f"p-values beyond the tolerance of {golden['tolerance']}: {', '.join(off)}", file=sys.stderr)
+            return 1
     return 0
 
 

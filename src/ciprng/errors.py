@@ -30,11 +30,12 @@ class ScriptExhaustedError(CiprngError):
 
 
 class StreamTooShortError(CiprngError):
-    """A statistical test received fewer bits than its minimum."""
+    """A statistical test received fewer bits, or other units of its
+    count (`unit`), than its minimum."""
 
-    def __init__(self, test: str, minimum: int, actual: int):
+    def __init__(self, test: str, minimum: int, actual: int, *, unit: str = "bits"):
         super().__init__(
-            f"{test}: stream of {actual} bits is below the test minimum of {minimum}"
+            f"{test}: stream of {actual} {unit} is below the test minimum of {minimum}"
         )
         self.test = test
         self.minimum = minimum

@@ -126,14 +126,10 @@ def _check_length(n: int, test: str, minimum: int) -> None:
         raise StreamTooShortError(test, minimum, n)
 
 
-def _require(bits, test: str, minimum: int) -> np.ndarray:
+def _packed(bits, test: str, minimum: int) -> _Packed:
     arr = bitops.as_bit_array(bits)
     _check_length(arr.size, test, minimum)
-    return arr
-
-
-def _packed(bits, test: str, minimum: int) -> _Packed:
-    return _Packed(_require(bits, test, minimum))
+    return _Packed(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +148,9 @@ def _frequency_p(stream: _Packed) -> float:
 def block_frequency(bits, block_size: int = 128) -> float:
     """Balance of ones within fixed-size blocks."""
     block_size = operator.index(block_size)
-    arr = _require(bits, "block-frequency", 100)
-    _check_blocks(arr.size, block_size)
-    return _block_frequency_p(_Packed(arr), block_size)
+    stream = _packed(bits, "block-frequency", 100)
+    _check_blocks(stream.n, block_size)
+    return _block_frequency_p(stream, block_size)
 
 
 def _check_blocks(n: int, block_size: int) -> None:
@@ -249,11 +245,7 @@ def longest_run_of_ones(bits) -> float:
 
 def _longest_run_p(stream: _Packed) -> float:
     n = stream.n
-    regime = _LONGEST_RUN_REGIMES[0]
-    for candidate in _LONGEST_RUN_REGIMES:
-        if n >= candidate[0]:
-            regime = candidate
-    _, m, k, classes, pi = regime
+    _, m, k, classes, pi = [regime for regime in _LONGEST_RUN_REGIMES if n >= regime[0]][-1]
     n_blocks = n // m
     longest = _clipped_longest_runs(stream, m, classes[0], classes[-1])
     counts = np.bincount(longest - classes[0], minlength=k + 1)
@@ -483,11 +475,10 @@ def _pattern_counts(stream: _Packed, m: int) -> np.ndarray:
     m + 3 bits: the leading m + 3 bits of the word at bit 4j hold the
     windows starting at bits 4j..4j+3 whole, so one histogram of those
     (m + 3)-bit values, summed down to m bits at each of the four offsets,
-    counts every window.  Where that histogram would have more bins than
-    the stream has bits (only short streams: the battery asks for at least
-    2^(m + 3) bits), the m-bit windows at the four offsets are counted
-    into 2^m bins directly.  The n % 4 windows after the last whole group of
-    four are read one by one from the next word.  The words are made from
+    counts every window.  The stream holds at least 2^(m + 3) bits, as
+    every caller checks, so the histogram has no more bins than the stream
+    has bits.  The n % 4 windows after the last whole group of four are
+    read one by one from the next word.  The words are made from
     the packed buffer's whole bytes and the few bytes after them that hold
     the stream's start again.
     """
@@ -515,20 +506,14 @@ def _pattern_counts(stream: _Packed, m: int) -> np.ndarray:
     lead = np.empty(groups, dtype=np.intp)
     np.right_shift(even[:n_even], width - 3 - m, out=lead[:n_even])
     np.right_shift(odd[: groups // 2], width - 3 - m, out=lead[n_even:])
-    if 1 << (m + 3) > n:
-        # a histogram of more bins than the stream has bits: count the
-        # windows at the four offsets of each word into 2^m bins instead
-        windows = [(lead >> (3 - offset)) & ((1 << m) - 1) for offset in range(4)]
-        counts = np.bincount(np.concatenate(windows), minlength=1 << m)
-    else:
-        # after pass j, `counts` holds the (m + 3 - j)-bit windows at offsets
-        # 0..j of the words' leading m + 3 bits: dropping a leading bit moves
-        # those at 0..j-1 to 1..j, and `trailing` adds the one at offset 0
-        counts = trailing = np.bincount(lead, minlength=1 << (m + 3))
-        for _ in range(3):
-            half = counts.size // 2
-            trailing = _marginal(trailing)
-            counts = counts[:half] + counts[half:] + trailing
+    # after pass j, `counts` holds the (m + 3 - j)-bit windows at offsets
+    # 0..j of the words' leading m + 3 bits: dropping a leading bit moves
+    # those at 0..j-1 to 1..j, and `trailing` adds the one at offset 0
+    counts = trailing = np.bincount(lead, minlength=1 << (m + 3))
+    for _ in range(3):
+        half = counts.size // 2
+        trailing = _marginal(trailing)
+        counts = counts[:half] + counts[half:] + trailing
     # the word at bit 4 groups, which holds the n % 4 windows left
     last = int((odd if groups % 2 else even)[groups // 2])
     for offset in range(n % 4):
@@ -560,7 +545,7 @@ def chi_square_symbols(states: Sequence[int], n_bits: int) -> float:
     size = 1 << n_bits
     arr = np.asarray(states, dtype=np.int64)
     if arr.size < 5 * size:
-        raise StreamTooShortError("chi-square-symbols", 5 * size, arr.size)
+        raise StreamTooShortError("chi-square-symbols", 5 * size, arr.size, unit="states")
     if arr.min() < 0 or arr.max() >= size:
         raise ValueError(f"states outside [0, {size - 1}]")
     counts = np.bincount(arr, minlength=size)

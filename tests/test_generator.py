@@ -810,8 +810,8 @@ class TestFlipEngine:
                 assert list(combined) == list(one.states(sum(chunks))), (n_bits, k)
                 TestFastPath.assert_same_end(bulk, loop)
 
-    @pytest.mark.parametrize("where", ["first", "window end", "window start", "second window end",
-                                       "third window start", "last"])
+    @pytest.mark.parametrize("where", ["first", "window end", "window start", "third window end",
+                                       "fourth window start", "last"])
     def test_held_update_positions(self, where):
         # A Gray-code walk visits no state twice, so a defect at the state
         # before update p holds update p and no other.
@@ -819,9 +819,9 @@ class TestFlipEngine:
         rnd = random.Random(3)
         updates = [k + rnd.randint(0, 1) for _ in range(20)]
         size = sum(updates)
-        window = 256  # the generator's restart window, pinned below
+        window = 256  # the width of every held-update window, in updates, pinned below
         p = {"first": 0, "window end": window - 1, "window start": window,
-             "second window end": 3 * window - 1, "third window start": 3 * window, "last": size - 1}[where]
+             "third window end": 3 * window - 1, "fourth window start": 3 * window, "last": size - 1}[where]
         coords = [n_bits - ((t + 1) & -(t + 1)).bit_length() + 1 for t in range(size)]
         negation = func.negation(n_bits)
         x0 = 0b1011001110001111
@@ -874,7 +874,7 @@ class TestFlipEngine:
         # next; W - 1, W and 2W the last of the first window, then the first
         # and the last of the next.  The defects sit on the states of the
         # last call's trajectory, so its block meets them there.
-        window = 256  # the generator's restart window, pinned below
+        window = 256  # the width of every held-update window, in updates, pinned below
         positions = {"first, then last": [0, window], "last, first, last": [window - 1, window, 2 * window]}[where]
         n_bits, k, x0 = 16, 49, 12345
         chunks = [1, 7, 64, 200]

@@ -5,13 +5,15 @@ from the public test-suite specification (NIST SP 800-22), reproduced
 here as oracles for the implemented formulas.
 """
 
+import functools
+import importlib.util
+import json
 import math
 import os
 from pathlib import Path
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -337,17 +339,37 @@ class TestSharedWork:
         for arr in streams:
             assert stats._pattern_counts(packed(arr), m).tolist() == window_counts(arr.tolist(), m)
 
-    def test_wide_windows_on_a_short_stream_stay_small(self):
-        # a histogram of 2^(m + 3) bins would be 128 MiB here; 2^m bins are 8 MiB
-        stream = packed(np.random.default_rng(20).integers(0, 2, 300, dtype=np.uint8))
-        tracemalloc.start()
-        try:
-            counts = stats._pattern_counts(stream, 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts.size == 1 << 20 and counts.sum() == 300
-        assert peak < 16 << 20, peak
+    # every entry counts windows only on a stream of at least 2^(m + 3)
+    # bits, so the (m + 3)-bit histogram never has more bins than bits
+    @pytest.mark.parametrize(
+        "least,call",
+        [
+            (1 << 5, lambda bits: stats.serial(bits, 2)),
+            (1 << 13, lambda bits: stats.serial(bits, 10)),
+            (1 << 7, lambda bits: stats.approximate_entropy(bits, 1)),
+            (1 << 16, lambda bits: stats.approximate_entropy(bits, 10)),
+            # serial wider than apen + 1, then the reverse
+            (1 << 15, lambda bits: stats.run_battery(bits, stats.BatteryConfig(serial_block=12, apen_block=9))),
+            (1 << 13, lambda bits: stats.run_battery(bits, stats.BatteryConfig(serial_block=3, apen_block=7))),
+        ],
+        ids=["serial 2", "serial 10", "apen 1", "apen 10", "battery serial wider", "battery apen wider"],
+    )
+    def test_window_counts_get_at_least_2_to_the_m_plus_3_bits(self, monkeypatch, least, call):
+        calls = []
+        pattern_counts = stats._pattern_counts
+
+        def checked(stream, m):
+            assert stream.n >= 1 << (m + 3), (stream.n, m)
+            calls.append(m)
+            return pattern_counts(stream, m)
+
+        monkeypatch.setattr(stats, "_pattern_counts", checked)
+        rng = np.random.default_rng(least)
+        for n in (least, least + 1):
+            call(rng.integers(0, 2, n, dtype=np.uint8))
+        assert len(calls) == 2
+        with pytest.raises(StreamTooShortError):
+            call(np.zeros(least - 1, dtype=np.uint8))
 
     @given(ragged_streams, st.integers(1, 20))
     def test_pattern_counts_on_ragged_streams(self, bits, m):
@@ -729,8 +751,11 @@ class TestChiSquareSymbols:
         assert stats.chi_square_symbols([7] * 200, 4) < 1e-12
 
     def test_sample_minimum(self):
-        with pytest.raises(StreamTooShortError):
+        # the test counts states, not bits
+        with pytest.raises(StreamTooShortError) as exc:
             stats.chi_square_symbols(list(range(16)) * 4, 4)
+        assert str(exc.value) == "chi-square-symbols: stream of 64 states is below the test minimum of 80"
+        assert (exc.value.test, exc.value.minimum, exc.value.actual) == ("chi-square-symbols", 80, 64)
 
     def test_out_of_range_states(self):
         with pytest.raises(ValueError):
@@ -818,3 +843,27 @@ class TestExport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             stats.export_stream("0100", "base64", tmp_path / "x")
+
+
+class TestGoldenCheck:
+    """`scripts/make_nist_golden.py --check` fails on a golden p-value that
+    this package does not reproduce within the golden tolerance."""
+
+    def test_check_exits_1_on_a_moved_p_value(self, tmp_path, monkeypatch, capsys):
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("make_nist_golden", root / "scripts" / "make_nist_golden.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        # the e expansion takes seconds to build: build it once for both runs
+        monkeypatch.setattr(script, "e_expansion_bits", functools.cache(script.e_expansion_bits))
+        monkeypatch.setattr(sys, "argv", ["make_nist_golden.py", "--check"])
+        golden = json.loads(script.GOLDEN_PATH.read_text())
+        with mpmath.workprec(mpmath.mp.prec):
+            assert script.main() == 0
+            golden["p_values"]["runs"] += 1e-5
+            tampered = tmp_path / "golden.json"
+            tampered.write_text(json.dumps(golden))
+            monkeypatch.setattr(script, "GOLDEN_PATH", tampered)
+            capsys.readouterr()
+            assert script.main() == 1
+        assert capsys.readouterr().err == "p-values beyond the tolerance of 1e-06: runs\n"
